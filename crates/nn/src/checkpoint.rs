@@ -141,6 +141,7 @@ fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::fault_lock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use traffic_tensor::init;
@@ -160,6 +161,7 @@ mod tests {
 
     #[test]
     fn roundtrip_restores_exact_values() {
+        let _g = fault_lock();
         let a = make_store(1);
         let path = tmp("roundtrip");
         save_weights(&a, &path).unwrap();
@@ -174,6 +176,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_store_shape() {
+        let _g = fault_lock();
         let a = make_store(1);
         let path = tmp("wrong_shape");
         save_weights(&a, &path).unwrap();
@@ -188,6 +191,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_param_count() {
+        let _g = fault_lock();
         let a = make_store(1);
         let path = tmp("wrong_count");
         save_weights(&a, &path).unwrap();

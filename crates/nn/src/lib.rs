@@ -33,3 +33,16 @@ pub use norm::{BatchNorm2d, LayerNorm};
 pub use optim::{Adam, AdamState, Sgd, StepDecay};
 pub use param::{GroupHealth, Param, ParamStore, Parameter};
 pub use rnn::{GruCell, LstmCell};
+
+/// Shared test helpers.
+#[cfg(test)]
+pub(crate) mod test_util {
+    /// Fault state (`traffic_obs::faults`) is process-global: every unit
+    /// test in this crate that arms a fault **or reaches a fault site**
+    /// holds this one lock for its whole duration, so no test's calls
+    /// advance another test's armed plan.
+    pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}

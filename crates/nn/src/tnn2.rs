@@ -336,6 +336,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::fault_lock;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("traffic_tnn2_{name}_{}", std::process::id()))
@@ -350,6 +351,7 @@ mod tests {
 
     #[test]
     fn container_roundtrip() {
+        let _g = fault_lock();
         let mut p = PayloadWriter::new();
         p.u64(42);
         p.str("hello");
@@ -408,6 +410,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_not_tears() {
+        let _g = fault_lock();
         let path = tmp("atomic");
         std::fs::write(&path, b"old contents").unwrap();
         atomic_write(&path, b"new contents").unwrap();
@@ -433,11 +436,5 @@ mod tests {
         atomic_write(&path, b"after").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"after");
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Fault state is process-global; serialise fault-arming tests.
-    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

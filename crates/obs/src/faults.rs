@@ -45,7 +45,11 @@
 //! `TRAFFIC_FAULT_CELL` env var) restricts counting to calls made
 //! inside a cell scope whose label contains the given substring (see
 //! [`crate::scope`]), making fault plans reproducible in both serial
-//! and parallel sweeps.
+//! and parallel sweeps. Plans and the filter stay process-wide, so
+//! tests that share a process still serialise: every test that arms a
+//! fault **or reaches a fault site** (training and sweeps reach one on
+//! every batch) holds its binary's fault lock, or its calls can use up
+//! another test's plan.
 //!
 //! The disabled fast path is one relaxed atomic load — safe to leave
 //! `fire` calls on hot paths.

@@ -64,3 +64,16 @@ pub fn export_fresh(model: &str, nodes: usize, seed: u64) -> ServeSnapshot {
     let m = build_model(model, &ctx, &mut rng);
     ServeSnapshot::capture(m.as_ref(), &ctx.adjacency, 8, 12, 12, 55.0, 12.0, seed)
 }
+
+/// Shared test helpers.
+#[cfg(test)]
+pub(crate) mod test_util {
+    /// Fault state (`traffic_obs::faults`) is process-global: every unit
+    /// test in this crate that arms a fault **or reaches a fault site**
+    /// holds this one lock for its whole duration, so no test's calls
+    /// advance another test's armed plan.
+    pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}

@@ -375,6 +375,7 @@ pub fn load_file_with_retry(
 mod tests {
     use super::*;
     use crate::export_fresh as tiny_snapshot;
+    use crate::test_util::fault_lock;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("traffic_serve_{name}_{}", std::process::id()))
@@ -382,6 +383,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_instantiate() {
+        let _g = fault_lock();
         let snap = tiny_snapshot("STGCN", 6, 3);
         let path = tmp("roundtrip");
         snap.save(&path).unwrap();
@@ -484,11 +486,5 @@ mod tests {
         assert_eq!(counter("serve/reload_retries").get(), before, "corruption must not retry");
         faults::reset();
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Fault state is process-global; serialise fault-arming tests.
-    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

@@ -16,9 +16,11 @@ use traffic_suite::models::{build_model, GraphContext};
 use traffic_suite::obs::counter;
 use traffic_suite::obs::faults::{self, FaultMode};
 
-/// Fault state is process-global: every test that arms a fault holds
-/// this lock for its whole duration (same pattern as `knob_lock` in
-/// determinism.rs).
+/// Fault state is process-global: every test that arms a fault **or
+/// reaches a fault site** holds this lock for its whole duration (same
+/// pattern as `knob_lock` in determinism.rs). Training and sweeps reach
+/// one on every batch (`abort`, `nan_grad`), so a lock-free training
+/// test would advance — and could trigger — another test's armed plan.
 fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -135,6 +137,7 @@ fn resume_rejects_checkpoint_from_different_config() {
 
 #[test]
 fn divergence_supervisor_gives_up_after_max_retries() {
+    let _g = fault_lock();
     let (data, ctx) = tiny_setup();
     let mut rng = StdRng::seed_from_u64(9);
     let model = build_model("STGCN", &ctx, &mut rng);
@@ -169,6 +172,7 @@ fn divergence_supervisor_gives_up_after_max_retries() {
 
 #[test]
 fn divergence_supervisor_recovers_from_unstable_lr() {
+    let _g = fault_lock();
     let (data, ctx) = tiny_setup();
     let mut rng = StdRng::seed_from_u64(17);
     let model = build_model("STG2Seq", &ctx, &mut rng);
@@ -253,9 +257,12 @@ fn checkpoint_io_failure_does_not_kill_training() {
 fn sweep_isolates_a_crashing_cell() {
     let _g = fault_lock();
     faults::reset();
-    // First training batch of the sweep panics: that is the first model's
-    // cell. It must come back as an explicit failure while every other
-    // cell completes normally.
+    // First training batch of the STGCN cell panics. The plan is scoped
+    // to that cell: with more than one scheduler job both cells train at
+    // once, so "the sweep's first batch" could be STG2Seq's. The crashed
+    // cell must come back as an explicit failure while every other cell
+    // completes normally.
+    faults::set_cell_filter(Some("fig1/METR-LA/STGCN"));
     faults::arm("abort", 1, FaultMode::Soft);
     let mut scale = ExperimentScale::smoke();
     scale.epochs = 1;
