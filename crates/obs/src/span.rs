@@ -252,8 +252,12 @@ mod tests {
             }
             outer.finish();
         }
-        let spans: Vec<SpanRecord> =
-            spans_since(marker).into_iter().filter(|s| s.path.contains("_test")).collect();
+        // Only this test's two spans: the sibling tests finish their own
+        // `*_test` spans into the same global store concurrently.
+        let spans: Vec<SpanRecord> = spans_since(marker)
+            .into_iter()
+            .filter(|s| s.name == "outer_test" || s.name == "inner_test")
+            .collect();
         assert_eq!(spans.len(), 2);
         // inner finishes first
         assert_eq!(spans[0].name, "inner_test");

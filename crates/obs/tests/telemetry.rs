@@ -4,7 +4,9 @@
 //! parser.
 //!
 //! Sinks and the metrics registry are process-global, so tests that
-//! install sinks or reset metrics serialize on `GLOBAL`.
+//! install sinks, reset metrics or finish spans (a span finished while
+//! a sink is installed lands in that run's manifest) serialize on
+//! `GLOBAL`.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -121,7 +123,9 @@ fn concurrent_counter_updates() {
 
 #[test]
 fn span_nesting_is_per_thread() {
-    // No sink/metrics interaction: safe without the global lock.
+    // Spans finished while another test's run has a sink installed are
+    // mirrored into that run's manifest, so hold the lock too.
+    let _g = lock();
     let marker = obs::span_marker();
     let outer = span!("itest_outer");
     let handle = std::thread::spawn(move || {
@@ -150,17 +154,15 @@ fn span_nesting_is_per_thread() {
 
 #[test]
 fn disabled_telemetry_is_cheap() {
-    // With no sink installed, emit_with must not build the event.
+    let _g = lock(); // sinks down while we probe
+                     // With no sink installed, emit_with must not build the event.
     let mut built = false;
-    {
-        let _g = lock(); // sinks down while we probe
-        if !obs::enabled() {
-            obs::emit_with(|| {
-                built = true;
-                obs::Event::new("never")
-            });
-            assert!(!built, "emit_with built an Event with no sink installed");
-        }
+    if !obs::enabled() {
+        obs::emit_with(|| {
+            built = true;
+            obs::Event::new("never")
+        });
+        assert!(!built, "emit_with built an Event with no sink installed");
     }
     // Span timing still works when disabled (Table III depends on it).
     let marker = obs::span_marker();

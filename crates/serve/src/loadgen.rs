@@ -1,14 +1,18 @@
-//! Open-loop HTTP load generator for the serving benchmark and chaos
+//! Closed-loop HTTP load generator for the serving benchmark and chaos
 //! smoke.
 //!
 //! Deterministic where it matters: request payloads are synthesised
 //! from `(seed, client, request)` alone — a diurnal sinusoid plus a
 //! per-node offset, the same speed field the simulator produces — so
 //! two loadgen runs against the same server issue byte-identical
-//! request bodies. Pacing is open-loop (fixed send interval per
-//! client): a slow server makes latencies grow and deadlines miss, it
-//! does not silently lower the offered rate like closed-loop clients
-//! do.
+//! request bodies. Pacing is closed-loop: each client blocks on its
+//! reply, then sleeps what is left of its send interval. A server
+//! slower than the interval therefore lowers the offered rate instead
+//! of building a queue. Latency is timed from the actual send, not from
+//! when the request was due, so a stall pushes back the client's later
+//! sends without counting that delay in their latencies. For open-loop
+//! load (every request timed from its due instant) use the benchmark's
+//! own generator in `perfbench/src/serve.rs`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,11 +23,12 @@ use std::time::{Duration, Instant};
 pub struct LoadgenConfig {
     /// Server address (`host:port`).
     pub addr: String,
-    /// Concurrent open-loop clients.
+    /// Concurrent closed-loop clients.
     pub clients: usize,
     /// Requests each client sends.
     pub requests_per_client: usize,
-    /// Gap between sends per client (`clients / interval` = offered QPS).
+    /// Least gap between sends per client (`clients / interval` is the
+    /// offered QPS while the server answers within the interval).
     pub interval: Duration,
     /// Per-request deadline to declare, if any.
     pub deadline_ms: Option<u64>,
@@ -215,7 +220,8 @@ pub fn run(cfg: &LoadgenConfig) -> LoadStats {
                         }
                         Err(_) => stats.errors += 1,
                     }
-                    // Open loop: sleep the remainder of the interval.
+                    // Closed loop: the reply is in; sleep what is left
+                    // of the interval.
                     let spent = t0.elapsed();
                     if spent < cfg.interval {
                         std::thread::sleep(cfg.interval - spent);

@@ -100,9 +100,6 @@ struct Pool {
 
 fn run_job(job: Job) {
     metrics().tasks.inc();
-    // One trace-event per task: with per-thread lanes in the Chrome
-    // trace, gaps between `pool/task` blocks are queue stalls.
-    let _prof = traffic_obs::profile::op("pool", "task");
     let body = job.body;
     // Propagate panics to the dispatching thread instead of aborting a
     // detached worker; the latch must complete regardless.
@@ -129,6 +126,12 @@ fn worker_loop(shared: Arc<Shared>) {
                 q = shared.work_ready.wait(q).expect("pool queue poisoned");
             }
         };
+        // One trace-event per task on a worker lane: gaps between
+        // `pool/task` blocks are queue stalls. Tasks the dispatching
+        // thread drains itself get no frame of their own, so they count
+        // as self time of the op that dispatched them (its wall time on
+        // that thread).
+        let _prof = traffic_obs::profile::op("pool", "task");
         run_job(job);
     }
 }

@@ -1,8 +1,48 @@
-//! Axis reductions and the `unbroadcast` adjoint used by autograd.
+//! Axis reductions, the last-axis row kernels (max, fused softmax and
+//! its backward) and the `unbroadcast` adjoint used by autograd.
 
 use crate::pool;
-use crate::shape::{broadcast_strides, for_each_broadcast2, numel, strides_for};
+use crate::shape::{numel, strides_for};
 use crate::tensor::{Tensor, ELEMENTWISE_PAR_THRESHOLD};
+
+/// Runs `body(row, dst)` over the consecutive `width`-element rows of
+/// `out`. Once `work` (elements read) reaches
+/// [`ELEMENTWISE_PAR_THRESHOLD`], whole rows split across the pool;
+/// each row is still computed by one call, so the result is the same at
+/// any thread count.
+fn for_each_row(
+    out: &mut [f32],
+    width: usize,
+    work: usize,
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    let rows = out.len() / width;
+    let per_task = if work < ELEMENTWISE_PAR_THRESHOLD {
+        rows
+    } else {
+        rows.div_ceil(pool::effective_threads() * 2).max(1)
+    };
+    pool::parallel_chunks_mut(out, per_task * width, |ci, dst| {
+        for (i, row) in dst.chunks_exact_mut(width).enumerate() {
+            body(ci * per_task + i, row);
+        }
+    });
+}
+
+/// First-wins maximum of a row by `v > m` from `-inf` (see
+/// [`Tensor::max_axis_keepdim`] for the NaN and signed-zero rules).
+fn row_max(row: &[f32]) -> f32 {
+    let mut m = f32::NEG_INFINITY;
+    for &v in row {
+        if v > m {
+            m = v;
+        }
+    }
+    m
+}
 
 impl Tensor {
     /// Sums over the given axes. With `keepdim` the reduced axes stay as
@@ -109,13 +149,31 @@ impl Tensor {
     /// Maximum over a single axis (keepdim). Used for numerically stable
     /// softmax; not differentiable through our tape (softmax handles its own
     /// backward).
+    ///
+    /// Each output slot keeps the first input `v` with `v > max so far`,
+    /// starting from `-inf`: NaNs are skipped, an all-NaN or empty slice
+    /// gives `-inf`, and of `-0.0`/`+0.0` the first seen wins. Along the
+    /// last axis the slots are contiguous rows, reduced whole per pool
+    /// task, so the result is the same at any thread count.
     pub fn max_axis_keepdim(&self, axis: usize) -> Tensor {
         crate::shape::check_axis(axis, self.rank());
         let outer: usize = self.shape()[..axis].iter().product();
         let d = self.shape()[axis];
         let inner: usize = self.shape()[axis + 1..].iter().product();
-        let mut out = crate::mem::take_filled(outer * inner, f32::NEG_INFINITY);
+        let mut shape = self.shape().to_vec();
+        shape[axis] = 1;
+        let mut prof = traffic_obs::profile::op("elem", "max_axis");
+        prof.set_flops(self.len());
+        prof.set_bytes((self.len() + outer * inner) * 4);
         let data = self.as_slice();
+        if inner == 1 {
+            let mut out = crate::mem::take_uninit(outer);
+            for_each_row(&mut out, 1, self.len(), |r, slot| {
+                slot[0] = row_max(&data[r * d..(r + 1) * d]);
+            });
+            return Tensor::from_vec(out, &shape);
+        }
+        let mut out = crate::mem::take_filled(outer * inner, f32::NEG_INFINITY);
         for o in 0..outer {
             for k in 0..d {
                 let base = (o * d + k) * inner;
@@ -128,9 +186,62 @@ impl Tensor {
                 }
             }
         }
-        let mut shape = self.shape().to_vec();
-        shape[axis] = 1;
         Tensor::from_vec(out, &shape)
+    }
+
+    /// Softmax along the last axis, fused per row: `m = max(x)` (as
+    /// [`Tensor::max_axis_keepdim`]), `e = exp(x - m)`, `s = Σe` (the
+    /// same [`crate::simd::sum`] call `sum_axes` makes for a contiguous
+    /// slot), then `e / s`. Every element goes through the same float
+    /// operations on the same operands as the composed
+    /// `max → sub → exp → sum_axes → div` chain, so the result is
+    /// bit-identical to it, in one pass over memory instead of five.
+    pub(crate) fn softmax_last(&self) -> Tensor {
+        let d = *self.shape().last().expect("softmax_last needs rank >= 1");
+        let n = self.len();
+        let mut prof = traffic_obs::profile::op("elem", "softmax_fwd");
+        prof.set_flops(n * 4);
+        prof.set_bytes(n * 8);
+        let x = self.as_slice();
+        let mut out = crate::mem::take_uninit(n);
+        for_each_row(&mut out, d, n, |r, y| {
+            let xr = &x[r * d..(r + 1) * d];
+            let m = row_max(xr);
+            for (e, &v) in y.iter_mut().zip(xr) {
+                *e = (v - m).exp();
+            }
+            let s = crate::simd::sum(y);
+            for e in y.iter_mut() {
+                *e /= s;
+            }
+        });
+        Tensor::from_vec(out, self.shape())
+    }
+
+    /// Backward of [`Tensor::softmax_last`] given its output `y`, fused
+    /// per row: `t = g·y`, `dot = Σt`, then `(g − dot)·y` — the
+    /// operations, in order, of the composed
+    /// `(g - sum_axes(g * y)) * y`, so bit-identical to it.
+    pub(crate) fn softmax_last_backward(g: &Tensor, y: &Tensor) -> Tensor {
+        assert_eq!(g.shape(), y.shape(), "softmax backward shape mismatch");
+        let d = *y.shape().last().expect("softmax_last_backward needs rank >= 1");
+        let n = y.len();
+        let mut prof = traffic_obs::profile::op("elem", "softmax_bwd");
+        prof.set_flops(n * 4);
+        prof.set_bytes(n * 12);
+        let (gd, yd) = (g.as_slice(), y.as_slice());
+        let mut out = crate::mem::take_uninit(n);
+        for_each_row(&mut out, d, n, |r, dx| {
+            let (gr, yr) = (&gd[r * d..(r + 1) * d], &yd[r * d..(r + 1) * d]);
+            for ((t, &gv), &yv) in dx.iter_mut().zip(gr).zip(yr) {
+                *t = gv * yv;
+            }
+            let dot = crate::simd::sum(dx);
+            for ((o, &gv), &yv) in dx.iter_mut().zip(gr).zip(yr) {
+                *o = (gv - dot) * yv;
+            }
+        });
+        Tensor::from_vec(out, y.shape())
     }
 
     /// Adjoint of broadcasting: reduces `self` (shaped like the broadcast
@@ -150,20 +261,6 @@ impl Tensor {
         }
         let reduced = self.sum_axes(&axes, true);
         reduced.reshape(target_shape)
-    }
-
-    /// Expands `self` to `shape` by broadcasting (materialised copy).
-    pub fn broadcast_to(&self, shape: &[usize]) -> Tensor {
-        if self.shape() == shape {
-            return self.clone();
-        }
-        let src = broadcast_strides(self.shape(), shape);
-        let zero = vec![0usize; shape.len()];
-        // Every slot is written exactly once by the broadcast sweep.
-        let mut out = crate::mem::take_uninit(numel(shape));
-        let data = self.as_slice();
-        for_each_broadcast2(shape, &src, &zero, |o, s, _| out[o] = data[s]);
-        Tensor::from_vec(out, shape)
     }
 }
 
@@ -206,6 +303,19 @@ mod tests {
         assert_eq!(m.as_slice(), &[9.0, 6.0]);
         let m0 = a.max_axis_keepdim(0);
         assert_eq!(m0.as_slice(), &[4.0, 9.0, 6.0]);
+    }
+
+    #[test]
+    fn max_axis_skips_nan_and_keeps_first_zero() {
+        let nan = f32::NAN;
+        let a = Tensor::from_vec(
+            vec![-0.0, 0.0, -1.0, 0.0, -0.0, -2.0, nan, 2.0, nan, nan, nan, nan],
+            &[4, 3],
+        );
+        let bits: Vec<u32> = a.max_axis_keepdim(1).as_slice().iter().map(|v| v.to_bits()).collect();
+        let want =
+            [(-0.0f32).to_bits(), 0.0f32.to_bits(), 2.0f32.to_bits(), f32::NEG_INFINITY.to_bits()];
+        assert_eq!(bits, want);
     }
 
     #[test]

@@ -74,11 +74,13 @@ pub fn ravel(coords: &[usize], strides: &[usize]) -> usize {
     coords.iter().zip(strides).map(|(c, s)| c * s).sum()
 }
 
-/// Iterator-free kernel helper: walks every flat output index of `shape`,
-/// yielding the corresponding flat offsets into two broadcast operands.
+/// Element-by-element broadcast walk: visits every flat output index of
+/// `shape`, yielding the corresponding flat offsets into two broadcast
+/// operands.
 ///
 /// `f(out_idx, a_idx, b_idx)` is called exactly `numel(shape)` times in
-/// row-major order.
+/// row-major order. The tensor kernels walk coalesced rows instead; this
+/// is the reference their tests compare against.
 pub fn for_each_broadcast2(
     shape: &[usize],
     a_strides: &[usize],

@@ -699,9 +699,19 @@ impl<'t> Var<'t> {
         Var::concat(&expanded, axis)
     }
 
-    /// Softmax along `axis` (numerically stable).
+    /// Softmax along `axis` (numerically stable). Along the last axis
+    /// forward and backward are fused row kernels
+    /// (`Tensor::softmax_last`), bit-identical to the composed ops
+    /// other axes still use.
     pub fn softmax(&self, axis: usize) -> Var<'t> {
         let x = self.value();
+        if axis + 1 == x.rank() {
+            let y = x.softmax_last();
+            let yc = y.clone();
+            return self
+                .tape
+                .unary("softmax", self, y, move |g| Tensor::softmax_last_backward(g, &yc));
+        }
         let m = x.max_axis_keepdim(axis);
         let e = x.sub(&m).exp();
         let s = e.sum_axes(&[axis], true);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::mem::{self, Buffer};
 use crate::pool;
-use crate::shape::{broadcast_shapes, broadcast_strides, for_each_broadcast2, numel, strides_for};
+use crate::shape::{broadcast_shapes, broadcast_strides, numel, strides_for};
 use crate::simd;
 
 /// Elementwise kernels at or above this many elements fan out across
@@ -56,6 +56,155 @@ fn for_each_offsets(
             doff -= dims[ax] * dst_strides[ax];
             soff -= dims[ax] * src_strides[ax];
             coords[ax] = 0;
+        }
+    }
+}
+
+/// A two-operand broadcast walk coalesced into rows.
+///
+/// Size-1 axes are dropped and adjacent axes merged wherever both
+/// operands stay contiguous (or stay broadcast) across them, so a
+/// `[1, C, 1, 1]` bias on `[B, C, N, T]` becomes `B·C` rows of `N·T`.
+/// Along the last (row) axis each operand steps by 1 (contiguous) or
+/// by 0 (one value per row), so the inner loops carry no per-element
+/// index arithmetic.
+struct RowPlan {
+    /// Sizes of the axes that index rows, outermost first.
+    outer: Vec<usize>,
+    /// Each operand's stride along those axes.
+    outer_a: Vec<usize>,
+    outer_b: Vec<usize>,
+    /// Row length.
+    len: usize,
+    /// Each operand's stride along a row: 1 or 0.
+    step_a: usize,
+    step_b: usize,
+}
+
+impl RowPlan {
+    /// Plans the walk over `shape` with the operands' broadcast
+    /// strides (0 on broadcast axes).
+    fn new(shape: &[usize], a_str: &[usize], b_str: &[usize]) -> RowPlan {
+        let (mut dims, mut sa, mut sb) = (Vec::new(), Vec::new(), Vec::new());
+        for ((&d, &a), &b) in shape.iter().zip(a_str).zip(b_str) {
+            if d == 1 {
+                continue;
+            }
+            match (dims.last_mut(), sa.last_mut(), sb.last_mut()) {
+                // The previous axis steps exactly over this one in both
+                // operands: one axis of the product's size.
+                (Some(pd), Some(pa), Some(pb)) if *pa == a * d && *pb == b * d => {
+                    *pd *= d;
+                    *pa = a;
+                    *pb = b;
+                }
+                _ => {
+                    dims.push(d);
+                    sa.push(a);
+                    sb.push(b);
+                }
+            }
+        }
+        let len = dims.pop().unwrap_or(1);
+        let step_a = sa.pop().unwrap_or(0);
+        let step_b = sb.pop().unwrap_or(0);
+        debug_assert!(step_a <= 1 && step_b <= 1, "row strides must be 0 or 1");
+        RowPlan { outer: dims, outer_a: sa, outer_b: sb, len, step_a, step_b }
+    }
+
+    /// Fills `out` (the whole output) with `f(a[..], b[..])`, split into
+    /// flat chunks across the pool when large.
+    fn run(&self, out: &mut [f32], a: &[f32], b: &[f32], f: &(impl Fn(f32, f32) -> f32 + Sync)) {
+        let n = out.len();
+        if n < ELEMENTWISE_PAR_THRESHOLD {
+            self.run_span(0, out, a, b, f);
+            return;
+        }
+        let chunk = n.div_ceil(pool::effective_threads() * 2).max(1);
+        pool::parallel_chunks_mut(out, chunk, |ci, dst| self.run_span(ci * chunk, dst, a, b, f));
+    }
+
+    /// Fills `dst`, the output elements from flat index `start` on. A
+    /// span may start and end mid-row.
+    fn run_span(
+        &self,
+        start: usize,
+        dst: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        f: &impl Fn(f32, f32) -> f32,
+    ) {
+        if dst.is_empty() {
+            return;
+        }
+        let (mut row, mut col) = (start / self.len, start % self.len);
+        let mut coords = vec![0usize; self.outer.len()];
+        let (mut ao, mut bo) = (0usize, 0usize);
+        for ax in (0..self.outer.len()).rev() {
+            coords[ax] = row % self.outer[ax];
+            row /= self.outer[ax];
+            ao += coords[ax] * self.outer_a[ax];
+            bo += coords[ax] * self.outer_b[ax];
+        }
+        let mut rest = dst;
+        loop {
+            let take = (self.len - col).min(rest.len());
+            let (seg, tail) = rest.split_at_mut(take);
+            self.row(seg, a, ao + col * self.step_a, b, bo + col * self.step_b, f);
+            rest = tail;
+            if rest.is_empty() {
+                return;
+            }
+            col = 0;
+            for ax in (0..self.outer.len()).rev() {
+                coords[ax] += 1;
+                ao += self.outer_a[ax];
+                bo += self.outer_b[ax];
+                if coords[ax] < self.outer[ax] {
+                    break;
+                }
+                ao -= self.outer[ax] * self.outer_a[ax];
+                bo -= self.outer[ax] * self.outer_b[ax];
+                coords[ax] = 0;
+            }
+        }
+    }
+
+    /// One (part of a) row starting at operand offsets `ao` / `bo`.
+    fn row(
+        &self,
+        dst: &mut [f32],
+        a: &[f32],
+        ao: usize,
+        b: &[f32],
+        bo: usize,
+        f: &impl Fn(f32, f32) -> f32,
+    ) {
+        let n = dst.len();
+        match (self.step_a, self.step_b) {
+            (1, 1) => {
+                for ((o, &x), &y) in dst.iter_mut().zip(&a[ao..ao + n]).zip(&b[bo..bo + n]) {
+                    *o = f(x, y);
+                }
+            }
+            (1, _) => {
+                let y = b[bo];
+                for (o, &x) in dst.iter_mut().zip(&a[ao..ao + n]) {
+                    *o = f(x, y);
+                }
+            }
+            (_, 1) => {
+                let x = a[ao];
+                for (o, &y) in dst.iter_mut().zip(&b[bo..bo + n]) {
+                    *o = f(x, y);
+                }
+            }
+            _ => {
+                let (x, y) = (a[ao], b[bo]);
+                for o in dst.iter_mut() {
+                    *o = f(x, y);
+                }
+            }
         }
     }
 }
@@ -527,24 +676,32 @@ impl Tensor {
         self.apply_unary(simd::Unary::Abs)
     }
 
+    /// [`Tensor::map`] under an `elem` profiler frame named `name`.
+    fn map_op(&self, name: &'static str, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+        let mut prof = traffic_obs::profile::op("elem", name);
+        prof.set_flops(self.len());
+        prof.set_bytes(self.len() * 8);
+        self.map(f)
+    }
+
     /// Elementwise exponential.
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.map_op("exp", f32::exp)
     }
 
     /// Elementwise natural log.
     pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
+        self.map_op("ln", f32::ln)
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
+        self.map_op("sqrt", f32::sqrt)
     }
 
     /// Elementwise power.
     pub fn powf(&self, p: f32) -> Tensor {
-        self.map(|v| v.powf(p))
+        self.map_op("powf", |v| v.powf(p))
     }
 
     /// Adds a scalar.
@@ -588,16 +745,36 @@ impl Tensor {
             // Fast path: no index arithmetic (parallel when large).
             return self.zip_map(other, f);
         }
+        self.broadcast_rows(other, "broadcast", f)
+    }
+
+    /// Mismatched-shape branch of the broadcasting ops: plans the
+    /// output as rows ([`RowPlan`]) and runs `f` over each row with
+    /// every operand either contiguous or a per-row scalar. Chunks of
+    /// the output split across the pool above
+    /// [`ELEMENTWISE_PAR_THRESHOLD`]; each element is one `f(a, b)`
+    /// call on the same two inputs as the element-wise odometer
+    /// ([`for_each_broadcast2`](crate::shape::for_each_broadcast2)),
+    /// so the result is bit-identical to it at any thread count.
+    fn broadcast_rows(
+        &self,
+        other: &Tensor,
+        name: &'static str,
+        f: impl Fn(f32, f32) -> f32 + Sync,
+    ) -> Tensor {
         let out_shape = broadcast_shapes(&self.shape, &other.shape)
             .unwrap_or_else(|| panic!("cannot broadcast {:?} with {:?}", self.shape, other.shape));
-        let a_str = broadcast_strides(&self.shape, &out_shape);
-        let b_str = broadcast_strides(&other.shape, &out_shape);
-        let mut out = mem::take_uninit(numel(&out_shape));
-        let a = &self.data;
-        let b = &other.data;
-        for_each_broadcast2(&out_shape, &a_str, &b_str, |o, ai, bi| {
-            out[o] = f(a[ai], b[bi]);
-        });
+        let plan = RowPlan::new(
+            &out_shape,
+            &broadcast_strides(&self.shape, &out_shape),
+            &broadcast_strides(&other.shape, &out_shape),
+        );
+        let n = numel(&out_shape);
+        let mut prof = traffic_obs::profile::op("elem", name);
+        prof.set_flops(n);
+        prof.set_bytes((self.len() + other.len() + n) * 4);
+        let mut out = mem::take_uninit(n);
+        plan.run(&mut out, &self.data, &other.data, &f);
         Tensor::from_vec(out, &out_shape)
     }
 
@@ -606,7 +783,7 @@ impl Tensor {
         if self.shape == other.shape {
             return self.apply_binary(other, simd::Binary::Add);
         }
-        self.broadcast_zip(other, |a, b| a + b)
+        self.broadcast_rows(other, "bcast_add", |a, b| a + b)
     }
 
     /// Broadcast subtract. Same-shape operands take the vectorized rail.
@@ -614,7 +791,7 @@ impl Tensor {
         if self.shape == other.shape {
             return self.apply_binary(other, simd::Binary::Sub);
         }
-        self.broadcast_zip(other, |a, b| a - b)
+        self.broadcast_rows(other, "bcast_sub", |a, b| a - b)
     }
 
     /// Broadcast multiply. Same-shape operands take the vectorized rail.
@@ -622,7 +799,7 @@ impl Tensor {
         if self.shape == other.shape {
             return self.apply_binary(other, simd::Binary::Mul);
         }
-        self.broadcast_zip(other, |a, b| a * b)
+        self.broadcast_rows(other, "bcast_mul", |a, b| a * b)
     }
 
     /// Broadcast divide. Same-shape operands take the vectorized rail.
@@ -630,7 +807,29 @@ impl Tensor {
         if self.shape == other.shape {
             return self.apply_binary(other, simd::Binary::Div);
         }
-        self.broadcast_zip(other, |a, b| a / b)
+        self.broadcast_rows(other, "bcast_div", |a, b| a / b)
+    }
+
+    /// Expands `self` to `shape` by broadcasting (materialised copy).
+    pub fn broadcast_to(&self, shape: &[usize]) -> Tensor {
+        if self.shape() == shape {
+            return self.clone();
+        }
+        assert_eq!(
+            broadcast_shapes(&self.shape, shape).as_deref(),
+            Some(shape),
+            "cannot broadcast {:?} to {:?}",
+            self.shape,
+            shape
+        );
+        let plan =
+            RowPlan::new(shape, &broadcast_strides(&self.shape, shape), &vec![0; shape.len()]);
+        let n = numel(shape);
+        let mut prof = traffic_obs::profile::op("elem", "broadcast_to");
+        prof.set_bytes((self.len() + n) * 4);
+        let mut out = mem::take_uninit(n);
+        plan.run(&mut out, &self.data, &[0.0], &|a, _| a);
+        Tensor::from_vec(out, shape)
     }
 
     // ------------------------------------------------------------------

@@ -287,3 +287,202 @@ proptest! {
         }
     }
 }
+
+// ------------- row kernels vs element-wise references -------------
+
+/// Deterministic test data with special values mixed in: NaN, ±inf,
+/// signed zeros, a subnormal and the `-1e9` attention mask.
+fn spiky_data(n: usize, seed: u32) -> Vec<f32> {
+    const SPECIAL: [f32; 7] = [f32::NAN, f32::NEG_INFINITY, f32::INFINITY, -0.0, 0.0, 1e-45, -1e9];
+    (0..n)
+        .map(|i| {
+            let k = i.wrapping_mul(2654435761).wrapping_add(seed as usize) % 11;
+            if k == 3 {
+                SPECIAL[(i / 11 + seed as usize) % SPECIAL.len()]
+            } else {
+                ((i as f32 + seed as f32) * 0.37).sin() * 3.0
+            }
+        })
+        .collect()
+}
+
+/// The element-wise odometer walk ([`shape::for_each_broadcast2`]): the
+/// reference every broadcasting row kernel must match.
+fn odometer_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    let out_shape = shape::broadcast_shapes(a.shape(), b.shape()).expect("broadcastable");
+    let sa = shape::broadcast_strides(a.shape(), &out_shape);
+    let sb = shape::broadcast_strides(b.shape(), &out_shape);
+    let (ad, bd) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; shape::numel(&out_shape)];
+    shape::for_each_broadcast2(&out_shape, &sa, &sb, |o, i, j| out[o] = f(ad[i], bd[j]));
+    Tensor::from_vec(out, &out_shape)
+}
+
+/// Equal shapes and equal bits per element; two NaNs count as equal
+/// (payloads are outside the bit-identity policy, see `simd`).
+fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: element {i}: {x:?} ({:#x}) vs {y:?} ({:#x})",
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+}
+
+/// An operand shape for `out`: the trailing `out.len() - drop` axes,
+/// with the axes whose bit is set in `mask` shrunk to 1.
+fn operand_shape(out: &[usize], drop: usize, mask: u32) -> Vec<usize> {
+    let tail = &out[drop.min(out.len())..];
+    tail.iter().enumerate().map(|(i, &d)| if mask >> i & 1 == 1 { 1 } else { d }).collect()
+}
+
+/// A broadcasting tensor op and the per-element closure it must equal.
+type BroadcastOp = (&'static str, fn(&Tensor, &Tensor) -> Tensor, fn(f32, f32) -> f32);
+
+/// Every broadcasting entry point on `(a, b)` against the odometer.
+fn check_broadcast_ops(a: &Tensor, b: &Tensor) {
+    let ops: [BroadcastOp; 4] = [
+        ("add", Tensor::add, |x, y| x + y),
+        ("sub", Tensor::sub, |x, y| x - y),
+        ("mul", Tensor::mul, |x, y| x * y),
+        ("div", Tensor::div, |x, y| x / y),
+    ];
+    for (name, op, f) in ops {
+        let what = format!("{name} {:?} with {:?}", a.shape(), b.shape());
+        assert_same_bits(&op(a, b), &odometer_zip(a, b, f), &what);
+    }
+    let what = format!("broadcast_zip {:?} with {:?}", a.shape(), b.shape());
+    let f = |x: f32, y: f32| x * 0.5 - y;
+    assert_same_bits(&a.broadcast_zip(b, f), &odometer_zip(a, b, f), &what);
+}
+
+/// Softmax along the last axis through the tape, forward and the
+/// gradient of `sum(y ⊙ g)`.
+fn tape_softmax(x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+    let tape = traffic_tensor::Tape::new();
+    let xv = tape.leaf(x.clone(), true);
+    let y = xv.softmax(x.rank() - 1);
+    let grads = tape.backward(y.mul_const(g).sum_all());
+    (y.value(), grads.get(xv).expect("softmax input gradient").clone())
+}
+
+/// The composed `max → sub → exp → sum_axes → div` softmax along the
+/// last axis and its composed backward `(g − Σ(g·y))·y`, with every
+/// broadcast taken by the odometer.
+fn composed_softmax(x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+    let last = x.rank() - 1;
+    let d = x.shape()[last];
+    let mut m_shape = x.shape().to_vec();
+    m_shape[last] = 1;
+    let m: Vec<f32> = x
+        .as_slice()
+        .chunks(d)
+        .map(|row| row.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m }))
+        .collect();
+    let m = Tensor::from_vec(m, &m_shape);
+    let e = odometer_zip(x, &m, |a, b| a - b).map(f32::exp);
+    let s = e.sum_axes(&[last], true);
+    let y = odometer_zip(&e, &s, |a, b| a / b);
+    let dot = g.zip_map(&y, |a, b| a * b).sum_axes(&[last], true);
+    let dx = odometer_zip(g, &dot, |a, b| a - b).zip_map(&y, |a, b| a * b);
+    (y, dx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn broadcast_rows_match_odometer(
+        out in prop::collection::vec(0usize..5, 0..5),
+        (drop_a, mask_a) in (0usize..5, 0u32..32),
+        (drop_b, mask_b) in (0usize..5, 0u32..32),
+        seed in 0u32..1000,
+    ) {
+        // Covers rank 0 (empty `out`, or `drop` past the rank: a scalar
+        // tensor on either side), zero-size axes, size-1 axes on both
+        // sides, and missing leading axes.
+        let sa = operand_shape(&out, drop_a, mask_a);
+        let sb = operand_shape(&out, drop_b, mask_b);
+        let a = Tensor::from_vec(spiky_data(shape::numel(&sa), seed), &sa);
+        let b = Tensor::from_vec(spiky_data(shape::numel(&sb), seed + 7), &sb);
+        check_broadcast_ops(&a, &b);
+        check_broadcast_ops(&b, &a);
+        if shape::broadcast_shapes(&sa, &sb).as_deref() == Some(&sa[..]) {
+            let want = odometer_zip(&b, &a, |x, _| x);
+            assert_same_bits(&b.broadcast_to(&sa), &want, "broadcast_to");
+        }
+    }
+
+    #[test]
+    fn fused_softmax_matches_composition(
+        dims in prop::collection::vec(1usize..6, 0..3),
+        d in 1usize..40,
+        mask_every in 1usize..6,
+        seed in 0u32..1000,
+    ) {
+        // Rows carry the GraphAttention `-1e9` mask on every
+        // `mask_every`-th element, plus NaN/±inf from `spiky_data`
+        // (so whole rows can be -inf or NaN).
+        let mut shape_v = dims;
+        shape_v.push(d);
+        let n = shape::numel(&shape_v);
+        let mut xs = spiky_data(n, seed);
+        for (i, v) in xs.iter_mut().enumerate() {
+            if i % mask_every == 0 {
+                *v += -1e9;
+            }
+        }
+        let x = Tensor::from_vec(xs, &shape_v);
+        let g = Tensor::from_vec(
+            (0..n).map(|i| ((i as f32 + seed as f32) * 0.61).cos()).collect(),
+            &shape_v,
+        );
+        let (y, dx) = tape_softmax(&x, &g);
+        let (want_y, want_dx) = composed_softmax(&x, &g);
+        assert_same_bits(&y, &want_y, "softmax forward");
+        assert_same_bits(&dx, &want_dx, "softmax backward");
+        let m = x.max_axis_keepdim(shape_v.len() - 1);
+        let want_m: Vec<f32> = x
+            .as_slice()
+            .chunks(d)
+            .map(|row| row.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m }))
+            .collect();
+        assert_same_bits(&m, &Tensor::from_vec(want_m, m.shape()), "max_axis_keepdim");
+    }
+}
+
+#[test]
+fn row_kernels_identical_at_thread_caps_1_and_2() {
+    use traffic_tensor::pool::ThreadCapGuard;
+    // 301 × 257 ≈ 77k elements: above the pool's parallel threshold.
+    let (rows, d) = (301, 257);
+    let x = Tensor::from_vec(spiky_data(rows * d, 5), &[rows, d]);
+    let col = Tensor::from_vec(spiky_data(rows, 6), &[rows, 1]);
+    let row = Tensor::from_vec(spiky_data(d, 7), &[1, d]);
+    let g = Tensor::from_vec((0..rows * d).map(|i| (i as f32 * 0.61).cos()).collect(), &[rows, d]);
+    let run = |cap: usize| {
+        let _cap = ThreadCapGuard::new(cap);
+        let (y, dx) = tape_softmax(&x, &g);
+        vec![
+            x.sub(&col),
+            x.div(&row),
+            col.mul(&row),
+            row.broadcast_to(&[rows, d]),
+            x.max_axis_keepdim(1),
+            y,
+            dx,
+        ]
+    };
+    let (one, two) = (run(1), run(2));
+    for (i, (a, b)) in one.iter().zip(&two).enumerate() {
+        assert_same_bits(a, b, &format!("kernel {i}: cap 1 vs cap 2"));
+    }
+    assert_same_bits(&two[0], &odometer_zip(&x, &col, |a, b| a - b), "sub vs odometer");
+    assert_same_bits(&two[2], &odometer_zip(&col, &row, |a, b| a * b), "outer mul vs odometer");
+    let (want_y, want_dx) = composed_softmax(&x, &g);
+    assert_same_bits(&two[5], &want_y, "softmax forward vs composition");
+    assert_same_bits(&two[6], &want_dx, "softmax backward vs composition");
+}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_serve.json at the workspace root: sustained QPS and
 # per-request latency percentiles for the inference server under an
-# open-loop client load, plus the chaos-ladder robustness counters
+# closed-loop client load, plus the chaos-ladder robustness counters
 # (reload rejections, breaker trips, shed/timeout handling, recovery).
 #
 # Usage:

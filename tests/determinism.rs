@@ -2,7 +2,10 @@
 //! - thread counts: the compute pool splits only output ranges (never
 //!   the reduction axis), so `TRAFFIC_THREADS=1` vs `TRAFFIC_THREADS=8`
 //!   must produce bit-identical losses (exercised via the equivalent
-//!   scoped [`pool::ThreadCapGuard`], which runs both in one process);
+//!   scoped [`pool::ThreadCapGuard`], which runs both in one process).
+//!   STGCN covers the convolution and GEMM paths; GMAN and ST-MetaNet
+//!   at 64 sensors cover the parallel softmax and broadcast row
+//!   kernels, which the SIMD check below also runs;
 //! - buffer recycling: the traffic-mem pool only changes where output
 //!   buffers come from, never what is written, so `TRAFFIC_MEM_CAP=0`
 //!   (pool off) vs the default (pool on) must also be bit-identical
@@ -38,25 +41,48 @@ fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn stgcn_losses(thread_cap: usize) -> Vec<u32> {
+/// Epoch losses (as bits) of `model` trained for `epochs` epochs of
+/// `batches` batches of 16 on a fresh `nodes`-sensor dataset.
+fn model_losses(
+    model: &str,
+    nodes: usize,
+    epochs: usize,
+    batches: usize,
+    thread_cap: usize,
+) -> Vec<u32> {
     let _cap = pool::ThreadCapGuard::new(thread_cap);
     pool::warmup();
-    let mut cfg = SimConfig::new("determinism", Task::Speed, 8, 5);
+    let mut cfg = SimConfig::new("determinism", Task::Speed, nodes, 5);
     cfg.missing_rate = 0.0;
     let ds = simulate(&cfg);
     let data = prepare(&ds, 12, 12);
     let ctx = GraphContext::from_network(&ds.network, 4);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let model = build_model("STGCN", &ctx, &mut rng);
+    let model = build_model(model, &ctx, &mut rng);
     let train_cfg = TrainConfig {
-        epochs: 2,
+        epochs,
         batch_size: 16,
-        max_batches_per_epoch: Some(8),
+        max_batches_per_epoch: Some(batches),
         ..Default::default()
     };
     let report = train(model.as_ref(), &data, &train_cfg);
     // Compare exact bit patterns, not approximate values.
     report.epoch_losses.iter().map(|l| l.to_bits()).collect()
+}
+
+fn stgcn_losses(thread_cap: usize) -> Vec<u32> {
+    model_losses("STGCN", 8, 2, 8, thread_cap)
+}
+
+/// The attention models at 64 sensors: GMAN's `[B·T, heads, N, N]` and
+/// ST-MetaNet's `[B, N, N]` (16·64·64 = 65536) attention scores reach
+/// the pool's parallel threshold, so softmax, the last-axis max and the
+/// broadcasting score ops run their row-split parallel paths.
+const ATTENTION_MODELS: [&str; 2] = ["GMAN", "ST-MetaNet"];
+const ATTENTION_NODES: usize = 64;
+
+fn attention_losses(model: &str, thread_cap: usize) -> Vec<u32> {
+    model_losses(model, ATTENTION_NODES, 1, 2, thread_cap)
 }
 
 #[test]
@@ -65,6 +91,28 @@ fn stgcn_losses_identical_across_thread_counts() {
     let serial = stgcn_losses(1);
     let pooled = stgcn_losses(8);
     assert_eq!(serial, pooled, "2-epoch STGCN losses must be bit-identical with 1 vs 8 threads");
+}
+
+#[test]
+fn attention_losses_identical_across_thread_counts() {
+    let _guard = knob_lock();
+    for model in ATTENTION_MODELS {
+        let serial = attention_losses(model, 1);
+        let pooled = attention_losses(model, 8);
+        assert_eq!(serial, pooled, "{model} losses must be bit-identical with 1 vs 8 threads");
+    }
+}
+
+#[test]
+fn attention_losses_identical_with_simd_on_and_off() {
+    let _guard = knob_lock();
+    for model in ATTENTION_MODELS {
+        simd::set_force_scalar(true);
+        let scalar = attention_losses(model, usize::MAX);
+        simd::set_force_scalar(false);
+        let vectorized = attention_losses(model, usize::MAX);
+        assert_eq!(scalar, vectorized, "{model} losses must be bit-identical with SIMD on vs off");
+    }
 }
 
 #[test]
