@@ -9,15 +9,15 @@ use traffic_tensor::{Tape, Var};
 use crate::linear::Linear;
 use crate::param::ParamStore;
 
-/// Scaled dot-product attention.
+/// Scaled dot-product attention `softmax(q·kᵀ / √D)·v`, one fused tape
+/// node ([`Var::attention`]).
 ///
 /// `q: [..., Lq, D]`, `k: [..., Lk, D]`, `v: [..., Lk, Dv]` →
-/// `[..., Lq, Dv]`. Leading axes broadcast.
+/// `[..., Lq, Dv]`. The leading axes of all three must be equal (they
+/// do not broadcast).
 pub fn scaled_dot_attention<'t>(q: Var<'t>, k: Var<'t>, v: Var<'t>) -> Var<'t> {
     let d = *q.shape().last().expect("attention operands need rank >= 2") as f32;
-    let scores = q.matmul(&k.t()).mul_scalar(1.0 / d.sqrt());
-    let axis = scores.shape().len() - 1;
-    scores.softmax(axis).matmul(&v)
+    q.attention(&k, &v, 1.0 / d.sqrt())
 }
 
 /// Multi-head attention with learned Q/K/V/output projections.

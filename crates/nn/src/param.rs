@@ -3,20 +3,27 @@
 //! A [`Parameter`] owns its current value and (after a backward pass) its
 //! gradient. During a forward pass, [`Parameter::var`] binds the parameter
 //! to the active [`Tape`] exactly once and caches the binding, so layers can
-//! freely call it multiple times.
+//! freely call it multiple times. Inside an inference region
+//! ([`traffic_tensor::inference`]) the binding is a constant leaf, so the
+//! forward records no backward closures and keeps no backward-only state.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use traffic_tensor::{Gradients, Tape, Tensor, Var};
+use traffic_tensor::{inference, Gradients, Tape, Tensor, Var};
 
 /// One trainable tensor.
 pub struct Parameter {
     name: String,
     value: RefCell<Tensor>,
     grad: RefCell<Option<Tensor>>,
-    /// `(tape_id, var_id)` of the leaf created for the current forward pass.
+    /// `(tape_id, var_id)` of the `requires_grad` leaf created for the
+    /// current forward pass.
     binding: Cell<(u64, usize)>,
+    /// The same for the constant leaf bound inside an inference region.
+    /// Kept apart so a guard-made constant is never handed to a forward
+    /// that records gradients, and gradient capture never reads it.
+    const_binding: Cell<(u64, usize)>,
     /// Bumped on every value mutation; lets derived-tensor caches
     /// (e.g. Graph-WaveNet's materialized adaptive adjacency) detect
     /// staleness without comparing buffers — in-place optimizer steps
@@ -34,6 +41,7 @@ impl Parameter {
             value: RefCell::new(value),
             grad: RefCell::new(None),
             binding: Cell::new((0, usize::MAX)),
+            const_binding: Cell::new((0, usize::MAX)),
             version: Cell::new(0),
         })
     }
@@ -102,15 +110,19 @@ impl Parameter {
         *self.grad.borrow_mut() = None;
     }
 
-    /// Binds this parameter to `tape` as a `requires_grad` leaf, caching the
-    /// binding so repeated calls during one forward pass reuse the same node.
+    /// Binds this parameter to `tape`, caching the binding so repeated
+    /// calls during one forward pass reuse the same node. The leaf is
+    /// `requires_grad` except inside an inference region, where it is a
+    /// constant.
     pub fn var<'t>(&self, tape: &'t Tape) -> Var<'t> {
-        let (tid, vid) = self.binding.get();
+        let requires_grad = !inference::active();
+        let slot = if requires_grad { &self.binding } else { &self.const_binding };
+        let (tid, vid) = slot.get();
         if tid == tape.id() {
             return tape.var(vid);
         }
-        let v = tape.leaf(self.value(), true);
-        self.binding.set((tape.id(), v.id()));
+        let v = tape.leaf(self.value(), requires_grad);
+        slot.set((tape.id(), v.id()));
         v
     }
 
@@ -367,6 +379,32 @@ mod tests {
         let tape2 = Tape::new();
         let v3 = w.var(&tape2);
         assert_eq!(v3.id(), 0); // fresh tape, fresh leaf
+    }
+
+    #[test]
+    fn inference_binding_is_a_constant_never_reused_for_grad() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(vec![2.0, 3.0], &[2]));
+        let tape = Tape::new();
+        let c = {
+            let _inf = inference::InferenceGuard::enter();
+            let c = w.var(&tape);
+            assert!(!c.requires_grad(), "a guard-made binding is a constant leaf");
+            assert_eq!(w.var(&tape).id(), c.id(), "reused inside the region");
+            c
+        };
+        // A gradient-recording forward on the same tape gets its own leaf.
+        let g = w.var(&tape);
+        assert!(g.requires_grad());
+        assert_ne!(g.id(), c.id());
+        // ...and a later region gets the constant back, not the grad leaf.
+        {
+            let _inf = inference::InferenceGuard::enter();
+            assert_eq!(w.var(&tape).id(), c.id());
+        }
+        let grads = tape.backward(g.mul(&g).sum_all());
+        store.capture_grads(&tape, &grads);
+        assert_eq!(w.grad().unwrap().as_slice(), &[4.0, 6.0]);
     }
 
     #[test]

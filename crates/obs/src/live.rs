@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 use std::io::{Read as IoRead, Write as IoWrite};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,9 +52,9 @@ use crate::store::{MetricValue, RunStore, RunSummary};
 /// Broadcast ring capacity (events retained for late/slow consumers).
 const RING_CAP: usize = 1024;
 
-/// Accept-loop poll interval (the listener is non-blocking so shutdown
-/// never waits on `accept`).
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Back-off after a failed `accept` (say, out of file descriptors), so
+/// a persistent error cannot spin the accept thread.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// How long an idle `/events` consumer waits before emitting an SSE
 /// keep-alive comment (and re-checking the stop flag).
@@ -280,7 +280,6 @@ impl LiveServer {
         runs_dir: Option<&Path>,
     ) -> std::io::Result<LiveServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let tap = Arc::new(EventTap::new());
         let tap_sink: Arc<dyn Sink> = tap.clone();
@@ -315,11 +314,13 @@ impl LiveServer {
 
 impl Drop for LiveServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         // Wake idle SSE consumers so they observe the stop flag now.
         self.tap.cv.notify_all();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            if wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
         crate::sink::remove_sink(&self.tap_sink);
         untrack();
@@ -335,13 +336,32 @@ struct ServeCtx {
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
+/// Unblocks a thread parked in a blocking `accept` on `addr` by making
+/// one connection to it (to loopback when `addr` is unspecified).
+/// Servers set their stop flag first, so the accept loop drops this
+/// connection and exits. Returns false when no connection could be
+/// made: the accept thread is then still parked, and the caller must
+/// not join it (it exits on the next connection).
+pub fn wake_accept(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, Duration::from_secs(1)).is_ok()
+}
+
+/// Blocking accept: an idle server costs nothing and a request is
+/// picked up at once. Drop wakes it with [`wake_accept`].
 fn accept_loop(listener: TcpListener, ctx: Arc<ServeCtx>) {
-    loop {
-        if ctx.stop.load(Ordering::Relaxed) {
+    for conn in listener.incoming() {
+        if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match conn {
+            Ok(stream) => {
                 crate::metrics::counter("live/requests").inc();
                 let conn_ctx = Arc::clone(&ctx);
                 let handle = std::thread::Builder::new()
@@ -356,10 +376,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServeCtx>) {
                     conns.push(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
     // Join connection threads: SSE loops poll the stop flag on SSE_IDLE

@@ -1,8 +1,9 @@
 //! Minimal HTTP/1.1 front-end for the serving engine.
 //!
 //! Same zero-dependency construction as the telemetry server
-//! ([`traffic_obs::live`]) — std `TcpListener`, non-blocking accept
-//! loop, thread per connection — extended with `POST` + body parsing,
+//! ([`traffic_obs::live`]) — std `TcpListener`, blocking accept loop
+//! woken on drop by [`traffic_obs::live::wake_accept`], thread per
+//! connection — extended with `POST` + body parsing,
 //! which the GET-only telemetry server never needed.
 //!
 //! | route | method | semantics |
@@ -34,7 +35,9 @@ use traffic_obs::{counter, elapsed_ns};
 use crate::engine::{Engine, EngineStatus};
 use crate::queue::{ServeRequest, ServeResponse};
 
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Back-off after a failed `accept`, so a persistent error cannot spin
+/// the accept thread.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// RAII HTTP server: dropping it stops the accept loop and joins every
 /// connection thread. The engine it fronts is shared, not owned — the
@@ -55,7 +58,6 @@ impl HttpServer {
     /// Binds `addr` (port 0 picks a free port) and serves `engine`.
     pub fn start(addr: &str, engine: Arc<Engine>) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let ctx = Arc::new(Ctx { engine, stop: Arc::clone(&stop), conns: Mutex::new(Vec::new()) });
@@ -75,20 +77,24 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // Not joined when the wake-up connection failed: the thread
+            // is still parked in `accept` (see `wake_accept`).
+            if traffic_obs::live::wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
     }
 }
 
 fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>) {
-    loop {
-        if ctx.stop.load(Ordering::Relaxed) {
+    for conn in listener.incoming() {
+        if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match conn {
+            Ok(stream) => {
                 counter("serve/http_requests").inc();
                 let conn_ctx = Arc::clone(&ctx);
                 let handle = std::thread::Builder::new()
@@ -101,8 +107,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>) {
                     conns.push(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
     let handles = std::mem::take(&mut *ctx.conns.lock().unwrap_or_else(|e| e.into_inner()));

@@ -352,13 +352,14 @@ fn tail<const R: usize, const FIRST: bool>(
     micro_tile::<R, FIRST>(a_pack, b_panel, out_rows, kc, n);
 }
 
-/// `R`-row register tile: walks the output in `R × NR` strips, each
-/// loaded into a register accumulator, updated for every `p` in the
-/// `k`-block, and stored back once. `a_pack` is the tile of `a` in
-/// `p`-major packed layout (see [`pack_a`]); `out_rows` is `R`
-/// contiguous output rows. With `FIRST` the accumulator starts at zero
-/// instead of loading `out_rows` (whose contents may be garbage) —
-/// per-element arithmetic is otherwise identical.
+/// `R`-row register tile: walks the output in `R × NR` strips, then
+/// at most one `R × NR/2` strip, each loaded into a register
+/// accumulator, updated for every `p` in the `k`-block, and stored back
+/// once. `a_pack` is the tile of `a` in `p`-major packed layout (see
+/// [`pack_a`]); `out_rows` is `R` contiguous output rows. With `FIRST`
+/// the accumulator starts at zero instead of loading `out_rows` (whose
+/// contents may be garbage) — per-element arithmetic is otherwise
+/// identical.
 #[inline(always)]
 fn micro_tile<const R: usize, const FIRST: bool>(
     a_pack: &[f32],
@@ -370,29 +371,17 @@ fn micro_tile<const R: usize, const FIRST: bool>(
     debug_assert_eq!(out_rows.len(), R * n);
     let mut j = 0;
     while j + NR <= n {
-        let mut acc = [[0.0f32; NR]; R];
-        if !FIRST {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row.copy_from_slice(&out_rows[r * n + j..r * n + j + NR]);
-            }
-        }
-        for p in 0..kc {
-            let b_strip: &[f32; NR] =
-                b_panel[p * n + j..p * n + j + NR].try_into().expect("NR strip");
-            let coeffs = &a_pack[p * R..(p + 1) * R];
-            for (acc_row, &coeff) in acc.iter_mut().zip(coeffs) {
-                for (av, &bv) in acc_row.iter_mut().zip(b_strip) {
-                    *av = madd(coeff, bv, *av);
-                }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            out_rows[r * n + j..r * n + j + NR].copy_from_slice(acc_row);
-        }
+        strip::<R, NR, FIRST>(a_pack, b_panel, out_rows, kc, n, j);
         j += NR;
     }
+    // Narrow outputs (attention's `p·v`, few-feature graph convs) keep
+    // their columns in registers too.
+    if j + NR / 2 <= n {
+        strip::<R, { NR / 2 }, FIRST>(a_pack, b_panel, out_rows, kc, n, j);
+        j += NR / 2;
+    }
     if j < n {
-        // Remainder strip (< NR columns): accumulate straight into the
+        // Remainder strip (< NR/2 columns): accumulate straight into the
         // output rows; same ascending-`p` order, just without the
         // register residency. In `FIRST` mode seed the strip with the
         // zeros the accumulate path would have read.
@@ -412,6 +401,37 @@ fn micro_tile<const R: usize, const FIRST: bool>(
                 }
             }
         }
+    }
+}
+
+/// One `R × W` strip of [`micro_tile`] at column `j`, accumulated in
+/// registers across the `k`-block.
+#[inline(always)]
+fn strip<const R: usize, const W: usize, const FIRST: bool>(
+    a_pack: &[f32],
+    b_panel: &[f32],
+    out_rows: &mut [f32],
+    kc: usize,
+    n: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    if !FIRST {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&out_rows[r * n + j..r * n + j + W]);
+        }
+    }
+    for p in 0..kc {
+        let b_strip: &[f32; W] = b_panel[p * n + j..p * n + j + W].try_into().expect("W strip");
+        let coeffs = &a_pack[p * R..(p + 1) * R];
+        for (acc_row, &coeff) in acc.iter_mut().zip(coeffs) {
+            for (av, &bv) in acc_row.iter_mut().zip(b_strip) {
+                *av = madd(coeff, bv, *av);
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out_rows[r * n + j..r * n + j + W].copy_from_slice(acc_row);
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! The trainer's no-grad paths (`predict`, `validation_loss`) enter
 //! this mode via the RAII [`InferenceGuard`]; model code can then skip
-//! work that only matters for backprop — e.g. Graph-WaveNet serves its
+//! work that only matters for backprop — parameters bind as constant
+//! leaves (`traffic_nn::Parameter::var`), so no backward closure or
+//! backward-only buffer is recorded, and Graph-WaveNet serves its
 //! adaptive adjacency from a materialized cache instead of rebuilding
 //! the `softmax(relu(E₁E₂ᵀ))` subgraph every forward pass.
 //!
@@ -18,7 +20,8 @@
 //!
 //! `set_force_off` (the `TRAFFIC_INFER_CACHE=0` equivalent) makes
 //! [`active`] report `false` regardless of guards, so benches can
-//! measure the uncached path in-process — mirroring
+//! measure the uncached, gradient-recording path in-process, and tests
+//! can check it gives the same bits — mirroring
 //! [`crate::simd::set_force_scalar`].
 
 use std::cell::Cell;

@@ -17,6 +17,8 @@
 //!   steady-state training steps allocate ~zero.
 //! - [`Tape`] / [`Var`]: define-by-run autograd. Operations on [`Var`]
 //!   record backward closures; [`Tape::backward`] runs one reverse sweep.
+//!   [`Var::attention`] is scaled dot-product attention as one fused
+//!   node that never allocates the score tensor when no gradient flows.
 //! - [`init`]: seeded weight initialisers (uniform/normal/Xavier/Kaiming).
 //! - [`gradcheck`]: central-finite-difference gradient verification used
 //!   throughout the workspace's test suites.
@@ -33,6 +35,7 @@
 //! assert_eq!(grads.get(w).unwrap().shape(), &[2, 1]);
 //! ```
 
+mod attention;
 pub mod conv;
 pub mod fastmath;
 pub mod gemm;

@@ -15,7 +15,7 @@ use crate::tensor::Tensor;
 
 /// Below this many flops a multiply runs inline on the calling thread;
 /// dispatch overhead beats any parallel win.
-const PAR_FLOPS: usize = 1 << 17;
+pub(crate) const PAR_FLOPS: usize = 1 << 17;
 
 impl Tensor {
     /// Batched matrix product.

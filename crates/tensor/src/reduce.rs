@@ -34,7 +34,7 @@ fn for_each_row(
 
 /// First-wins maximum of a row by `v > m` from `-inf` (see
 /// [`Tensor::max_axis_keepdim`] for the NaN and signed-zero rules).
-fn row_max(row: &[f32]) -> f32 {
+pub(crate) fn row_max(row: &[f32]) -> f32 {
     let mut m = f32::NEG_INFINITY;
     for &v in row {
         if v > m {
@@ -42,6 +42,20 @@ fn row_max(row: &[f32]) -> f32 {
         }
     }
     m
+}
+
+/// The softmax row arithmetic after the max, in place: `e = exp(x − m)`,
+/// `s = Σe` (the [`crate::simd::sum`] call `sum_axes` makes for a
+/// contiguous slot), then `e / s`. [`Tensor::softmax_last`] and the
+/// fused attention tile both go through it, so they agree bit for bit.
+pub(crate) fn softmax_row(row: &mut [f32], m: f32) {
+    for e in row.iter_mut() {
+        *e = (*e - m).exp();
+    }
+    let s = crate::simd::sum(row);
+    for e in row.iter_mut() {
+        *e /= s;
+    }
 }
 
 impl Tensor {
@@ -205,15 +219,9 @@ impl Tensor {
         let x = self.as_slice();
         let mut out = crate::mem::take_uninit(n);
         for_each_row(&mut out, d, n, |r, y| {
-            let xr = &x[r * d..(r + 1) * d];
-            let m = row_max(xr);
-            for (e, &v) in y.iter_mut().zip(xr) {
-                *e = (v - m).exp();
-            }
-            let s = crate::simd::sum(y);
-            for e in y.iter_mut() {
-                *e /= s;
-            }
+            y.copy_from_slice(&x[r * d..(r + 1) * d]);
+            let m = row_max(y);
+            softmax_row(y, m);
         });
         Tensor::from_vec(out, self.shape())
     }

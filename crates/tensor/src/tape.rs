@@ -134,6 +134,18 @@ impl Tape {
         nodes.len() - 1
     }
 
+    /// Appends a node; it requires grad exactly when it has a backward.
+    fn record(
+        &self,
+        op: &'static str,
+        value: Tensor,
+        parents: Parents,
+        backward: Option<BackFn>,
+    ) -> Var<'_> {
+        let requires_grad = backward.is_some();
+        Var { tape: self, id: self.push(Node { op, value, requires_grad, parents, backward }) }
+    }
+
     /// Inserts a leaf tensor. Set `requires_grad` for trainable parameters.
     pub fn leaf(&self, value: Tensor, requires_grad: bool) -> Var<'_> {
         let id = self.push(Node {
@@ -381,6 +393,12 @@ impl<'t> Var<'t> {
         self.tape.nodes.borrow()[self.id].value.shape().to_vec()
     }
 
+    /// True when a gradient flows back into this node (it is, or
+    /// depends on, a `requires_grad` leaf).
+    pub fn requires_grad(&self) -> bool {
+        self.tape.requires_grad(self.id)
+    }
+
     // ------------------------------------------------------------------
     // Elementwise binary (broadcasting)
     // ------------------------------------------------------------------
@@ -452,19 +470,24 @@ impl<'t> Var<'t> {
         self.tape.unary("powf", self, x.powf(p), move |g| g.mul(&xc.powf(p - 1.0).mul_scalar(p)))
     }
 
-    /// Rectified linear unit.
+    /// Rectified linear unit. The backward mask is built from the
+    /// input only when backward runs, so a no-grad forward never pays
+    /// for it.
     pub fn relu(&self) -> Var<'t> {
         let x = self.value();
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        self.tape.unary("relu", self, x.clamp_min(0.0), move |g| g.mul(&mask))
+        let y = x.clamp_min(0.0);
+        self.tape
+            .unary("relu", self, y, move |g| g.mul(&x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })))
     }
 
-    /// Leaky ReLU with negative slope `alpha`.
+    /// Leaky ReLU with negative slope `alpha` (mask built in backward,
+    /// as for [`Var::relu`]).
     pub fn leaky_relu(&self, alpha: f32) -> Var<'t> {
         let x = self.value();
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { alpha });
         let y = x.map(|v| if v > 0.0 { v } else { alpha * v });
-        self.tape.unary("leaky_relu", self, y, move |g| g.mul(&mask))
+        self.tape.unary("leaky_relu", self, y, move |g| {
+            g.mul(&x.map(|v| if v > 0.0 { 1.0 } else { alpha }))
+        })
     }
 
     /// Logistic sigmoid ([`crate::fastmath::sigmoid`], vectorized
@@ -493,9 +516,20 @@ impl<'t> Var<'t> {
     /// product in a single pass; backward streams both parent gradients
     /// (`(g·s)·(1 − t²)` and `((g·t)·s)·(1 − s)`) in one pass. Identical
     /// arithmetic to `self.tanh().mul(&gate.sigmoid())` but records one
-    /// node instead of three and halves the elementwise traffic.
+    /// node instead of three and halves the elementwise traffic. When
+    /// neither input needs a gradient, `t` and `s` are never stored.
     pub fn gated_tanh_sigmoid(&self, gate: &Var<'t>) -> Var<'t> {
-        let (out, t, s) = Tensor::gated_tanh_sigmoid(&self.value(), &gate.value());
+        let (f, gv) = (self.value(), gate.value());
+        if !self.requires_grad() && !gate.requires_grad() {
+            let out = Tensor::gated_tanh_sigmoid_value(&f, &gv);
+            return self.tape.record(
+                "gated_tanh_sigmoid",
+                out,
+                Parents::Two(self.id, gate.id),
+                None,
+            );
+        }
+        let (out, t, s) = Tensor::gated_tanh_sigmoid(&f, &gv);
         self.tape.binary("gated_tanh_sigmoid", self, gate, out, move |g| {
             Tensor::gated_tanh_sigmoid_backward(g, &t, &s)
         })
@@ -522,12 +556,13 @@ impl<'t> Var<'t> {
         self.tape.unary("sqrt", self, y, move |g| g.div(&yc.mul_scalar(2.0)))
     }
 
-    /// Smooth absolute value: `sqrt(x² + eps)`; with `eps = 0` this is exact
-    /// `|x|` with subgradient sign(x).
+    /// Absolute value with subgradient sign(x) (sign built in backward,
+    /// as for [`Var::relu`]).
     pub fn abs(&self) -> Var<'t> {
         let x = self.value();
-        let sign = x.map(|v| if v >= 0.0 { 1.0 } else { -1.0 });
-        self.tape.unary("abs", self, x.abs(), move |g| g.mul(&sign))
+        let y = x.abs();
+        self.tape
+            .unary("abs", self, y, move |g| g.mul(&x.map(|v| if v >= 0.0 { 1.0 } else { -1.0 })))
     }
 
     /// Multiplies by a constant mask tensor (no gradient into the mask).
@@ -722,6 +757,28 @@ impl<'t> Var<'t> {
             let dot = g.mul(&yc).sum_axes(&[axis], true);
             g.sub(&dot).mul(&yc)
         })
+    }
+
+    /// Fused scaled dot-product attention `softmax(self·kᵀ·scale)·v`
+    /// over equal leading axes: `self: [.., Lq, D]`, `k: [.., Lk, D]`,
+    /// `v: [.., Lk, Dv]` → `[.., Lq, Dv]`. One tape node, bit-identical
+    /// in value and gradients to
+    /// `self.matmul(&k.t()).mul_scalar(scale).softmax(last).matmul(&v)`.
+    /// The `[.., Lq, Lk]` probabilities are kept only when a gradient
+    /// flows; otherwise the scores never exist beyond one cached tile.
+    pub fn attention(&self, k: &Var<'t>, v: &Var<'t>, scale: f32) -> Var<'t> {
+        let rg = self.requires_grad() || k.requires_grad() || v.requires_grad();
+        let (qv, kv, vv) = (self.value(), k.value(), v.value());
+        let (y, p) = Tensor::attention(&qv, &kv, &vv, scale, rg);
+        let backward = p.map(|p| -> BackFn {
+            Box::new(move |g, sink| {
+                let (gq, gk, gv) = Tensor::attention_backward(g, &qv, &kv, &vv, &p, scale);
+                sink(0, gq);
+                sink(1, gk);
+                sink(2, gv);
+            })
+        });
+        self.tape.record("attention", y, Parents::Many(vec![self.id, k.id, v.id]), backward)
     }
 
     /// Inverted dropout. In training mode zeroes each element with

@@ -27,7 +27,7 @@ pub(crate) const ELEMENTWISE_PAR_THRESHOLD: usize = 1 << 16;
 /// chunks `parallel_chunks_mut` makes of the primary output). Soundness
 /// is argued at each use site.
 #[derive(Clone, Copy)]
-struct SendMutPtr(*mut f32);
+pub(crate) struct SendMutPtr(pub(crate) *mut f32);
 unsafe impl Send for SendMutPtr {}
 unsafe impl Sync for SendMutPtr {}
 
@@ -579,42 +579,64 @@ impl Tensor {
     /// arithmetic is element-for-element identical to
     /// `f.map(fastmath::tanh)`, `g.map(fastmath::sigmoid)`, `t.mul(&s)`.
     pub fn gated_tanh_sigmoid(f: &Tensor, g: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let (out, saved) = Tensor::gated_fwd(f, g, true);
+        let (t, s) = saved.expect("saved activations requested");
+        (out, t, s)
+    }
+
+    /// The value of [`Tensor::gated_tanh_sigmoid`] alone, for forwards
+    /// that record no gradient: the same kernel, with `t` and `s`
+    /// written to a small reused block instead of two full tensors.
+    pub(crate) fn gated_tanh_sigmoid_value(f: &Tensor, g: &Tensor) -> Tensor {
+        Tensor::gated_fwd(f, g, false).0
+    }
+
+    fn gated_fwd(f: &Tensor, g: &Tensor, keep: bool) -> (Tensor, Option<(Tensor, Tensor)>) {
         assert_eq!(f.shape, g.shape, "gated_tanh_sigmoid requires identical shapes");
         let n = f.len();
         let mut prof = traffic_obs::profile::op("elem", "gated_fwd");
         prof.set_flops(n * 41); // tanh (22) + sigmoid (18) + mul
-        prof.set_bytes(n * 20); // 2 reads + 3 writes
+        prof.set_bytes(n * if keep { 20 } else { 12 }); // 2 reads + 3 (or 1) writes
         let (fd, gd): (&[f32], &[f32]) = (&f.data, &g.data);
-        let mut t = mem::take_uninit(n);
-        let mut s = mem::take_uninit(n);
-        let mut out = mem::take_uninit(n);
-        let kernel = simd::gated_fwd;
-        if n < ELEMENTWISE_PAR_THRESHOLD {
-            kernel(fd, gd, &mut t, &mut s, &mut out);
+        let (mut t, mut s) = if keep {
+            (mem::take_uninit(n), mem::take_uninit(n))
         } else {
-            let chunk = n.div_ceil(pool::effective_threads() * 2).max(1);
-            let (tp, sp) = (SendMutPtr(t.as_mut_ptr()), SendMutPtr(s.as_mut_ptr()));
-            pool::parallel_chunks_mut(&mut out, chunk, |ci, dst| {
-                let (tp, sp) = (tp, sp); // capture the Sync wrappers, not the raw fields
-                let base = ci * chunk;
-                // SAFETY: chunks are disjoint slices of `out`, and the
-                // matching `[base, base + len)` windows of `t` and `s`
-                // are therefore disjoint too; both vecs outlive the
-                // dispatch (joined before this function returns).
+            (Vec::new(), Vec::new())
+        };
+        let mut out = mem::take_uninit(n);
+        // Runs the kernel on `out`'s window starting at `base`: into the
+        // matching windows of `t`/`s`, or block by block into scratch.
+        let kernel = |base: usize, dst: &mut [f32], tp: SendMutPtr, sp: SendMutPtr| {
+            let (fw, gw) = (&fd[base..base + dst.len()], &gd[base..base + dst.len()]);
+            if keep {
+                // SAFETY: `[base, base + len)` windows mirror disjoint
+                // windows of `out`; `t` and `s` outlive the dispatch
+                // (joined before this function returns).
                 let (tc, sc) = unsafe {
                     (
                         std::slice::from_raw_parts_mut(tp.0.add(base), dst.len()),
                         std::slice::from_raw_parts_mut(sp.0.add(base), dst.len()),
                     )
                 };
-                kernel(&fd[base..base + dst.len()], &gd[base..base + dst.len()], tc, sc, dst);
-            });
+                simd::gated_fwd(fw, gw, tc, sc, dst);
+            } else {
+                const BLOCK: usize = 1024;
+                let (mut tb, mut sb) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+                for (i, o) in dst.chunks_mut(BLOCK).enumerate() {
+                    let (b, m) = (i * BLOCK, o.len());
+                    simd::gated_fwd(&fw[b..b + m], &gw[b..b + m], &mut tb[..m], &mut sb[..m], o);
+                }
+            }
+        };
+        let (tp, sp) = (SendMutPtr(t.as_mut_ptr()), SendMutPtr(s.as_mut_ptr()));
+        if n < ELEMENTWISE_PAR_THRESHOLD {
+            kernel(0, &mut out, tp, sp);
+        } else {
+            let chunk = n.div_ceil(pool::effective_threads() * 2).max(1);
+            pool::parallel_chunks_mut(&mut out, chunk, |ci, dst| kernel(ci * chunk, dst, tp, sp));
         }
-        (
-            Tensor::from_vec(out, &f.shape),
-            Tensor::from_vec(t, &f.shape),
-            Tensor::from_vec(s, &f.shape),
-        )
+        let saved = keep.then(|| (Tensor::from_vec(t, &f.shape), Tensor::from_vec(s, &f.shape)));
+        (Tensor::from_vec(out, &f.shape), saved)
     }
 
     /// Backward of [`Tensor::gated_tanh_sigmoid`] in one pass:
@@ -858,6 +880,8 @@ impl Tensor {
             seen[p] = true;
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
+        let mut prof = traffic_obs::profile::op("elem", "permute");
+        prof.set_bytes(self.len() * 8);
         let in_strides = strides_for(&self.shape);
         // Stride of output axis i is the input stride of the axis it came from.
         let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
@@ -932,6 +956,8 @@ impl Tensor {
         let outer: usize = self.shape[..axis].iter().product();
         let inner: usize = self.shape[axis + 1..].iter().product();
         let d = self.shape[axis];
+        let mut prof = traffic_obs::profile::op("elem", "narrow");
+        prof.set_bytes(outer * len * inner * 8);
         let mut out = mem::take_capacity(outer * len * inner);
         for o in 0..outer {
             let base = o * d * inner + start * inner;
@@ -961,6 +987,8 @@ impl Tensor {
         let outer: usize = parts[0].shape[..axis].iter().product();
         let inner: usize = parts[0].shape[axis + 1..].iter().product();
         let total_axis: usize = parts.iter().map(|p| p.shape[axis]).sum();
+        let mut prof = traffic_obs::profile::op("elem", "concat");
+        prof.set_bytes(outer * total_axis * inner * 8);
         let mut out = mem::take_capacity(outer * total_axis * inner);
         for o in 0..outer {
             for p in parts {
@@ -986,6 +1014,8 @@ impl Tensor {
         }
         let out_shape: Vec<usize> =
             self.shape.iter().zip(pads).map(|(&d, &(b, a))| d + b + a).collect();
+        let mut prof = traffic_obs::profile::op("elem", "pad");
+        prof.set_bytes((self.len() + numel(&out_shape)) * 4);
         let mut out = mem::take_uninit(numel(&out_shape));
         // Trailing unpadded axes collapse into one contiguous run.
         let mut tail = self.rank();
@@ -1077,6 +1107,8 @@ impl Tensor {
     pub fn index_select0(&self, indices: &[usize]) -> Tensor {
         assert!(self.rank() >= 1, "index_select0 requires rank >= 1");
         let inner: usize = self.shape[1..].iter().product();
+        let mut prof = traffic_obs::profile::op("elem", "index_select0");
+        prof.set_bytes(indices.len() * inner * 8);
         let mut out = mem::take_capacity(indices.len() * inner);
         for &i in indices {
             assert!(i < self.shape[0], "index {i} out of bounds for axis 0 size {}", self.shape[0]);

@@ -486,3 +486,80 @@ fn row_kernels_identical_at_thread_caps_1_and_2() {
     assert_same_bits(&two[5], &want_y, "softmax forward vs composition");
     assert_same_bits(&two[6], &want_dx, "softmax backward vs composition");
 }
+
+/// Output and `q`/`k`/`v` gradients of attention under an upstream
+/// gradient `w`: through the fused node when `fused`, else through the
+/// composed five-op oracle. Also returns the fused node's value when no
+/// input needs a gradient (the scratch-tile path).
+fn attention_run(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    w: &Tensor,
+    scale: f32,
+    fused: bool,
+) -> Vec<Tensor> {
+    let tape = traffic_tensor::Tape::new();
+    let (qv, kv, vv) =
+        (tape.leaf(q.clone(), true), tape.leaf(k.clone(), true), tape.leaf(v.clone(), true));
+    let out = if fused {
+        qv.attention(&kv, &vv, scale)
+    } else {
+        let last = q.rank() - 1;
+        qv.matmul(&kv.t()).mul_scalar(scale).softmax(last).matmul(&vv)
+    };
+    let grads = tape.backward(out.mul_const(w).sum_all());
+    let mut res = vec![out.value()];
+    res.extend([qv, kv, vv].map(|x| grads.get(x).expect("attention input gradient").clone()));
+    if fused {
+        let (qc, kc, vc) =
+            (tape.constant(q.clone()), tape.constant(k.clone()), tape.constant(v.clone()));
+        let y = qc.attention(&kc, &vc, scale);
+        assert!(!y.requires_grad());
+        res.push(y.value());
+    }
+    res
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_attention_matches_composition(
+        lead in prop::collection::vec(1usize..4, 0..3),
+        lq in 1usize..80,
+        lk_pick in 0usize..60,
+        dh in 1usize..10,
+        dv in 1usize..10,
+        seed in 0u32..1000,
+    ) {
+        // Lq crosses the 32-row tile; a sixth of the cases have Lk = 1,
+        // a one-key softmax; small shapes run inline, large ones on the
+        // pool.
+        let lk = if lk_pick >= 50 { 1 } else { lk_pick + 1 };
+        let shape_of = |a: usize, b: usize| {
+            let mut s = lead.clone();
+            s.extend([a, b]);
+            s
+        };
+        let data = |s: &[usize], off: u32| {
+            let n = shape::numel(s);
+            Tensor::from_vec(
+                (0..n).map(|i| ((i as f32 + (seed + off) as f32) * 0.37).sin() * 3.0).collect(),
+                s,
+            )
+        };
+        let (q, k, v) = (data(&shape_of(lq, dh), 0), data(&shape_of(lk, dh), 1), data(&shape_of(lk, dv), 2));
+        let w = data(&shape_of(lq, dv), 3);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let want = attention_run(&q, &k, &v, &w, scale, false);
+        for cap in [1, 2] {
+            let _cap = traffic_tensor::pool::ThreadCapGuard::new(cap);
+            let got = attention_run(&q, &k, &v, &w, scale, true);
+            for (i, what) in ["output", "grad q", "grad k", "grad v"].iter().enumerate() {
+                assert_same_bits(&got[i], &want[i], &format!("{what} at cap {cap}"));
+            }
+            assert_same_bits(&got[4], &want[0], &format!("no-grad output at cap {cap}"));
+        }
+    }
+}

@@ -18,6 +18,11 @@
 //!   association order (different low-order bits allowed), but each
 //!   mode must still be run-to-run deterministic — both are pinned
 //!   here;
+//! - inference binding: inside `predict`'s inference region parameters
+//!   bind as constant leaves, so the forward records no backward state;
+//!   every model's predictions must be bit-identical to the
+//!   gradient-recording binding (exercised via
+//!   [`inference::set_force_off`]);
 //! - the experiment scheduler: `TRAFFIC_JOBS=4` runs sweep cells
 //!   concurrently on partitioned core groups, but every cell seeds its
 //!   own RNGs and results are collected in submission order, so the
@@ -27,12 +32,12 @@
 //!   FAILED row in both modes.
 
 use traffic_suite::core::{
-    difficult_interval_experiment, model_comparison, set_jobs_override, train, ExperimentScale,
-    Fig1Row, Fig2Row, TrainConfig,
+    difficult_interval_experiment, model_comparison, predict, set_jobs_override, train,
+    ExperimentScale, Fig1Row, Fig2Row, TrainConfig,
 };
 use traffic_suite::data::{prepare, simulate, SimConfig, Task};
-use traffic_suite::models::{build_model, GraphContext};
-use traffic_suite::tensor::{mem, pool, simd};
+use traffic_suite::models::{build_model, GraphContext, ALL_MODELS};
+use traffic_suite::tensor::{inference, mem, pool, simd};
 
 /// Both tests flip process-global knobs (thread cap, mem cap); they
 /// serialise on one lock so neither observes the other mid-flip.
@@ -74,10 +79,11 @@ fn stgcn_losses(thread_cap: usize) -> Vec<u32> {
     model_losses("STGCN", 8, 2, 8, thread_cap)
 }
 
-/// The attention models at 64 sensors: GMAN's `[B·T, heads, N, N]` and
-/// ST-MetaNet's `[B, N, N]` (16·64·64 = 65536) attention scores reach
-/// the pool's parallel threshold, so softmax, the last-axis max and the
-/// broadcasting score ops run their row-split parallel paths.
+/// The attention models at 64 sensors: GMAN's fused attention node
+/// (`[B·T, heads, 64, 64]` scores) and ST-MetaNet's `[B, N, N]`
+/// (16·64·64 = 65536) attention scores reach the pool's parallel
+/// thresholds, so the fused node's query tiles, softmax, the last-axis
+/// max and the broadcasting score ops run their parallel paths.
 const ATTENTION_MODELS: [&str; 2] = ["GMAN", "ST-MetaNet"];
 const ATTENTION_NODES: usize = 64;
 
@@ -112,6 +118,32 @@ fn attention_losses_identical_with_simd_on_and_off() {
         simd::set_force_scalar(false);
         let vectorized = attention_losses(model, usize::MAX);
         assert_eq!(scalar, vectorized, "{model} losses must be bit-identical with SIMD on vs off");
+    }
+}
+
+#[test]
+fn predictions_identical_with_constant_and_grad_parameter_binding() {
+    let _guard = knob_lock();
+    let mut cfg = SimConfig::new("determinism", Task::Speed, 16, 5);
+    cfg.missing_rate = 0.0;
+    let ds = simulate(&cfg);
+    let data = prepare(&ds, 12, 12);
+    let ctx = GraphContext::from_network(&ds.network, 4);
+    let test = data.test.truncate(6);
+    for name in ALL_MODELS {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let model = build_model(name, &ctx, &mut rng);
+        let bits = || -> Vec<u32> {
+            let pred = predict(model.as_ref(), &test, &data.scaler, 4);
+            pred.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let constant = bits();
+        // The gradient-recording binding, as before inference regions
+        // bound constants.
+        inference::set_force_off(true);
+        let recorded = bits();
+        inference::set_force_off(false);
+        assert_eq!(constant, recorded, "{name}: constant binding changed the predictions");
     }
 }
 
