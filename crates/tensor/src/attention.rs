@@ -4,9 +4,9 @@
 //!
 //! The forward walks each `(batch, head)` matrix in tiles of
 //! [`TILE_ROWS`] query rows. Per tile it runs
-//! [`gemm::gemm_overwrite_bt`] for `q·kᵀ` (reading `k` in place), scales
-//! the scores in place, applies the softmax row arithmetic shared with
-//! [`Tensor::softmax_last`], and [`gemm::gemm_overwrite`]s the tile
+//! [`gemm::gemm_overwrite_bt`] for `q·kᵀ` (reading `k` in place), runs
+//! the softmax row kernel shared with [`Tensor::softmax_last`] with the
+//! scale fused into its max pass, and [`gemm::gemm_overwrite`]s the tile
 //! against `v` into the output rows. When no gradient is needed the
 //! tile lives in a per-task scratch buffer that stays in cache, so no
 //! score-sized tensor is ever allocated; when one is, the tiles are
@@ -25,12 +25,12 @@ use crate::gemm;
 use crate::linalg::PAR_FLOPS;
 use crate::mem;
 use crate::pool;
-use crate::reduce::{row_max, softmax_row};
 use crate::shape::numel;
+use crate::simd;
 use crate::tensor::{SendMutPtr, Tensor};
 
 /// Query rows per tile: a `32 × Lk` score tile (26 KB at 207 keys)
-/// stays in L1/L2 between its three passes.
+/// stays in L1/L2 between the GEMMs and the softmax passes.
 const TILE_ROWS: usize = 32;
 
 /// `[.., L, D]` → `(L, D)`, checking rank.
@@ -66,7 +66,8 @@ impl Tensor {
         assert_eq!(dk, dh, "attention q/k width mismatch: {:?} vs {:?}", q.shape(), k.shape());
         assert_eq!(lv, lk, "attention k/v length mismatch: {:?} vs {:?}", k.shape(), v.shape());
         let nb = numel(lead);
-        let flops = 2 * nb * lq * lk * (dh + dv) + 4 * nb * lq * lk;
+        let flops =
+            2 * nb * lq * lk * (dh + dv) + (3 + simd::Unary::Exp.flops_per_elem()) * nb * lq * lk;
         let mut prof = traffic_obs::profile::op("elem", "attention_fwd");
         prof.set_flops(flops);
         prof.set_bytes((q.len() + k.len() + v.len() + nb * lq * dv) * 4);
@@ -111,11 +112,7 @@ impl Tensor {
                 );
                 if lk > 0 {
                     for row in s.chunks_exact_mut(lk) {
-                        for x in row.iter_mut() {
-                            *x *= scale;
-                        }
-                        let m = row_max(row);
-                        softmax_row(row, m);
+                        simd::softmax_row(row, Some(scale));
                     }
                 }
                 gemm::gemm_overwrite(s, vb, dst, rows, lk, dv);
@@ -152,7 +149,7 @@ impl Tensor {
         let _prof = traffic_obs::profile::op("elem", "attention_bwd");
         let gp = g.matmul_nt(v);
         let mut gs = Tensor::softmax_last_backward(&gp, p);
-        gs.apply_unary_inplace(crate::simd::Unary::MulS(scale));
+        gs.apply_unary_inplace(simd::Unary::MulS(scale));
         (gs.matmul(k), gs.matmul_tn(q), p.matmul_tn(g))
     }
 }

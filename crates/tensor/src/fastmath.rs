@@ -1,4 +1,4 @@
-//! Fast scalar math kernels for elementwise activations.
+//! Fast scalar math kernels for elementwise activations and `exp`.
 //!
 //! glibc's `tanhf` costs ~13 ns/element on this generation of x86 —
 //! roughly 4× the price of `expf` — and the gated temporal convolutions
@@ -6,7 +6,10 @@
 //! reformulate `tanh` and the logistic sigmoid through a private
 //! polynomial [`exp`], keeping relative error within a few f32 ulps of
 //! libm (≤ ~6e-7 against an f64 reference) while running several times
-//! faster.
+//! faster. [`exp`] is also the crate's only `exp`: `Tensor::exp` and
+//! every softmax row run it, so their results depend on the input bits
+//! alone, where libm's `expf` differs between glibc versions and the
+//! CPU variants glibc picks at load time.
 //!
 //! **SIMD contract.** Every kernel in this module is written as
 //! straight-line arithmetic over operations that have exact 8-lane
@@ -26,9 +29,14 @@
 /// Above this, [`exp`] returns `+inf` (the scale step would need
 /// `2^128`). `127.5 · ln 2 ≈ 88.376`; true `exp` stays finite up to
 /// 88.722, so the kernel saturates a hair early — irrelevant for the
-/// activation rails, which feed it `|x| ≤ 18.04`.
+/// activation rails, which feed it `|x| ≤ 18.04`, and for softmax,
+/// which feeds it `x − m ≤ 0`.
 pub const EXP_HI: f32 = 88.37;
 /// Below this, [`exp`] returns `0.0` (the result would be denormal).
+/// This is the only clamp softmax reaches: a term libm would return as
+/// a denormal becomes 0. The row sum holds the maximum's own term
+/// `exp(0) = 1`, so it is at least 1 and does not change, and the
+/// output element moves by less than the smallest normal f32.
 pub const EXP_LO: f32 = -87.33;
 
 /// `log2(e)`, the range-reduction multiplier.

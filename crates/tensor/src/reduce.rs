@@ -44,20 +44,6 @@ pub(crate) fn row_max(row: &[f32]) -> f32 {
     m
 }
 
-/// The softmax row arithmetic after the max, in place: `e = exp(x − m)`,
-/// `s = Σe` (the [`crate::simd::sum`] call `sum_axes` makes for a
-/// contiguous slot), then `e / s`. [`Tensor::softmax_last`] and the
-/// fused attention tile both go through it, so they agree bit for bit.
-pub(crate) fn softmax_row(row: &mut [f32], m: f32) {
-    for e in row.iter_mut() {
-        *e = (*e - m).exp();
-    }
-    let s = crate::simd::sum(row);
-    for e in row.iter_mut() {
-        *e /= s;
-    }
-}
-
 impl Tensor {
     /// Sums over the given axes. With `keepdim` the reduced axes stay as
     /// size-1; otherwise they are removed.
@@ -203,25 +189,26 @@ impl Tensor {
         Tensor::from_vec(out, &shape)
     }
 
-    /// Softmax along the last axis, fused per row: `m = max(x)` (as
-    /// [`Tensor::max_axis_keepdim`]), `e = exp(x - m)`, `s = Σe` (the
-    /// same [`crate::simd::sum`] call `sum_axes` makes for a contiguous
-    /// slot), then `e / s`. Every element goes through the same float
+    /// Softmax along the last axis, one [`crate::simd::softmax_row`]
+    /// per row: `m = max(x)` (as [`Tensor::max_axis_keepdim`], up to the
+    /// sign of a zero maximum, which cannot change a value), `e =
+    /// exp(x - m)` (as [`Tensor::exp`]), `s = Σe` (the same
+    /// [`crate::simd::sum`] call `sum_axes` makes for a contiguous slot),
+    /// then `e / s`. Every element goes through the same float
     /// operations on the same operands as the composed
     /// `max → sub → exp → sum_axes → div` chain, so the result is
-    /// bit-identical to it, in one pass over memory instead of five.
+    /// bit-identical to it.
     pub(crate) fn softmax_last(&self) -> Tensor {
         let d = *self.shape().last().expect("softmax_last needs rank >= 1");
         let n = self.len();
         let mut prof = traffic_obs::profile::op("elem", "softmax_fwd");
-        prof.set_flops(n * 4);
+        prof.set_flops(n * (3 + crate::simd::Unary::Exp.flops_per_elem()));
         prof.set_bytes(n * 8);
         let x = self.as_slice();
         let mut out = crate::mem::take_uninit(n);
         for_each_row(&mut out, d, n, |r, y| {
             y.copy_from_slice(&x[r * d..(r + 1) * d]);
-            let m = row_max(y);
-            softmax_row(y, m);
+            crate::simd::softmax_row(y, None);
         });
         Tensor::from_vec(out, self.shape())
     }

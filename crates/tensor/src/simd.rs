@@ -1,9 +1,10 @@
 //! Vectorized elementwise kernels with runtime dispatch.
 //!
 //! The hot elementwise rails — scalar/broadcast arithmetic, the
-//! fastmath activations, the fused gated-activation tape node, the
-//! fused optimizer updates, and contiguous sums — funnel through the
-//! fixed kernel vocabulary in [`Unary`] / [`Binary`] / [`Ternary`]
+//! fastmath activations and `exp`, the fused gated-activation tape
+//! node, the fused optimizer updates, the softmax row ([`softmax_row`])
+//! and contiguous sums — funnel through the fixed kernel vocabulary in
+//! [`Unary`] / [`Binary`] / [`Ternary`] and the fused kernels below
 //! instead of opaque closures, which lets this module run them 8 lanes
 //! at a time with AVX2 `core::arch` intrinsics when the CPU supports
 //! it. Generic `Tensor::map`/`zip_map` closures that don't fit the
@@ -166,6 +167,8 @@ pub enum Unary {
     Tanh,
     /// [`crate::fastmath::sigmoid`]
     Sigmoid,
+    /// [`crate::fastmath::exp`]
+    Exp,
 }
 
 impl Unary {
@@ -181,6 +184,7 @@ impl Unary {
             Unary::MinS(_) => "min_s",
             Unary::Tanh => "tanh",
             Unary::Sigmoid => "sigmoid",
+            Unary::Exp => "exp",
         }
     }
 
@@ -190,6 +194,7 @@ impl Unary {
         match self {
             Unary::Tanh => 22,
             Unary::Sigmoid => 18,
+            Unary::Exp => 16,
             Unary::SqMulS(_) => 2,
             _ => 1,
         }
@@ -315,6 +320,7 @@ pub mod scalar {
             }
             Unary::Tanh => fastmath::tanh(x),
             Unary::Sigmoid => fastmath::sigmoid(x),
+            Unary::Exp => fastmath::exp(x),
         }
     }
 
@@ -405,6 +411,23 @@ pub mod scalar {
         }
         acc
     }
+
+    /// Softmax of one row in place (see [`super::softmax_row`]).
+    pub fn softmax_row(row: &mut [f32], scale: Option<f32>) {
+        if let Some(c) = scale {
+            for v in row.iter_mut() {
+                *v *= c;
+            }
+        }
+        let m = crate::reduce::row_max(row);
+        for v in row.iter_mut() {
+            *v = fastmath::exp(*v - m);
+        }
+        let s = super::sum(row);
+        for v in row.iter_mut() {
+            *v /= s;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -414,7 +437,7 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{scalar, Binary, Ternary, Unary};
-    use crate::fastmath::{EXP_C0, EXP_C1, EXP_C2, EXP_C3, EXP_C4, EXP_C5, EXP_HI, EXP_LO};
+    use crate::fastmath::{self, EXP_C0, EXP_C1, EXP_C2, EXP_C3, EXP_C4, EXP_C5, EXP_HI, EXP_LO};
     use std::arch::x86_64::*;
 
     const LOG2E: f32 = std::f32::consts::LOG2_E;
@@ -538,6 +561,7 @@ mod avx2 {
             Unary::MinS(c) => _mm256_min_ps(v, _mm256_set1_ps(c)),
             Unary::Tanh => tanh8(v),
             Unary::Sigmoid => sigmoid8(v),
+            Unary::Exp => exp8(v),
         }
     }
 
@@ -733,6 +757,73 @@ mod avx2 {
         }
     }
 
+    /// Softmax of one row in place, 8 lanes per pass: `×scale` fused
+    /// into the max, `exp8(x − m)`, [`super::sum`], then a divide.
+    ///
+    /// Each lane keeps its own `v > m` maximum and the lanes fold in
+    /// order, so `m` is the scalar rail's maximum except that of `-0.0`
+    /// and `+0.0` another may win. That cannot show: `x − (+0) = x − (−0)`
+    /// for every `x` but `−0`, and there both differences are zeros, for
+    /// which `exp` gives 1.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn softmax_row(row: &mut [f32], scale: Option<f32>) {
+        let n = row.len();
+        let n8 = n - n % 8;
+        let p = row.as_mut_ptr();
+        let mut mv = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut i = 0;
+        if let Some(c) = scale {
+            let cv = _mm256_set1_ps(c);
+            while i < n8 {
+                let v = _mm256_mul_ps(_mm256_loadu_ps(p.add(i)), cv);
+                _mm256_storeu_ps(p.add(i), v);
+                // maxps(v, m) is `v > m ? v : m`, the scalar comparison.
+                mv = _mm256_max_ps(v, mv);
+                i += 8;
+            }
+            for j in n8..n {
+                *p.add(j) *= c;
+            }
+        } else {
+            while i < n8 {
+                mv = _mm256_max_ps(_mm256_loadu_ps(p.add(i)), mv);
+                i += 8;
+            }
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), mv);
+        let mut m = f32::NEG_INFINITY;
+        for &v in lanes.iter().chain(&row[n8..]) {
+            if v > m {
+                m = v;
+            }
+        }
+        let mv = _mm256_set1_ps(m);
+        let mut i = 0;
+        while i < n8 {
+            _mm256_storeu_ps(p.add(i), exp8(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), mv)));
+            i += 8;
+        }
+        for j in n8..n {
+            *p.add(j) = fastmath::exp(*p.add(j) - m);
+        }
+        let s = super::sum(row);
+        let p = row.as_mut_ptr();
+        let sv = _mm256_set1_ps(s);
+        let mut i = 0;
+        while i < n8 {
+            _mm256_storeu_ps(p.add(i), _mm256_div_ps(_mm256_loadu_ps(p.add(i)), sv));
+            i += 8;
+        }
+        for j in n8..n {
+            *p.add(j) /= s;
+        }
+    }
+
     /// 8-accumulator sum + horizontal fold. NOT bit-identical to the
     /// sequential scalar sum (association order differs) — gated behind
     /// `TRAFFIC_SIMD_REDUCE`.
@@ -840,6 +931,16 @@ pub fn sum(src: &[f32]) -> f32 {
     scalar::sum(src)
 }
 
+/// Softmax of one row in place: `x·scale` when `scale` is given, the
+/// row max `m` (in the same pass), `e = exp(x − m)` by
+/// [`crate::fastmath::exp`], `s = Σe` by [`sum`], then `e / s`. Each
+/// element sees the operations of the composed
+/// `mul_scalar → max_axis_keepdim → sub → exp → sum_axes → div` chain,
+/// so the row equals it bit for bit, SIMD on or off.
+pub fn softmax_row(row: &mut [f32], scale: Option<f32>) {
+    dispatch!(avx2::softmax_row(row, scale), scalar::softmax_row(row, scale))
+}
+
 // ---------------------------------------------------------------------
 // Forced AVX2 entry points (tests / benches)
 // ---------------------------------------------------------------------
@@ -923,6 +1024,21 @@ pub fn try_gated_bwd_avx2(
         }
     }
     let _ = (grad, t, s, gf, gg);
+    false
+}
+
+/// Forced-AVX2 [`softmax_row`]; returns `false` (row untouched)
+/// without AVX2. The row sum still goes through the dispatched [`sum`].
+pub fn try_softmax_row_avx2(row: &mut [f32], scale: Option<f32>) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: AVX2 was detected at runtime on this CPU.
+            unsafe { avx2::softmax_row(row, scale) };
+            return true;
+        }
+    }
+    let _ = (row, scale);
     false
 }
 

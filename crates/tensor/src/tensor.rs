@@ -706,9 +706,9 @@ impl Tensor {
         self.map(f)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`crate::fastmath::exp`], vectorized).
     pub fn exp(&self) -> Tensor {
-        self.map_op("exp", f32::exp)
+        self.apply_unary(simd::Unary::Exp)
     }
 
     /// Elementwise natural log.

@@ -3,9 +3,12 @@
 //! traffic-compute kernels (blocked GEMM, CSR spmm) against the naive
 //! reference on random shapes.
 
+mod common;
+
+use common::spiky_data;
 use proptest::prelude::*;
 use traffic_tensor::gradcheck::grad_check;
-use traffic_tensor::{gemm, shape, CsrMatrix, Tensor};
+use traffic_tensor::{fastmath, gemm, shape, CsrMatrix, Tensor};
 
 fn small_shape() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..5, 1..4)
@@ -290,22 +293,6 @@ proptest! {
 
 // ------------- row kernels vs element-wise references -------------
 
-/// Deterministic test data with special values mixed in: NaN, ±inf,
-/// signed zeros, a subnormal and the `-1e9` attention mask.
-fn spiky_data(n: usize, seed: u32) -> Vec<f32> {
-    const SPECIAL: [f32; 7] = [f32::NAN, f32::NEG_INFINITY, f32::INFINITY, -0.0, 0.0, 1e-45, -1e9];
-    (0..n)
-        .map(|i| {
-            let k = i.wrapping_mul(2654435761).wrapping_add(seed as usize) % 11;
-            if k == 3 {
-                SPECIAL[(i / 11 + seed as usize) % SPECIAL.len()]
-            } else {
-                ((i as f32 + seed as f32) * 0.37).sin() * 3.0
-            }
-        })
-        .collect()
-}
-
 /// The element-wise odometer walk ([`shape::for_each_broadcast2`]): the
 /// reference every broadcasting row kernel must match.
 fn odometer_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
@@ -371,7 +358,8 @@ fn tape_softmax(x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
 
 /// The composed `max → sub → exp → sum_axes → div` softmax along the
 /// last axis and its composed backward `(g − Σ(g·y))·y`, with every
-/// broadcast taken by the odometer.
+/// broadcast taken by the odometer and `exp` as the crate's own
+/// [`fastmath::exp`].
 fn composed_softmax(x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
     let last = x.rank() - 1;
     let d = x.shape()[last];
@@ -383,7 +371,7 @@ fn composed_softmax(x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
         .map(|row| row.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m }))
         .collect();
     let m = Tensor::from_vec(m, &m_shape);
-    let e = odometer_zip(x, &m, |a, b| a - b).map(f32::exp);
+    let e = odometer_zip(x, &m, |a, b| a - b).map(fastmath::exp);
     let s = e.sum_axes(&[last], true);
     let y = odometer_zip(&e, &s, |a, b| a / b);
     let dot = g.zip_map(&y, |a, b| a * b).sum_axes(&[last], true);
@@ -451,6 +439,42 @@ proptest! {
             .map(|row| row.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m }))
             .collect();
         assert_same_bits(&m, &Tensor::from_vec(want_m, m.shape()), "max_axis_keepdim");
+    }
+
+    #[test]
+    fn softmax_off_last_axis_matches_permuted_last(
+        dims in prop::collection::vec(1usize..7, 2..5),
+        axis_pick in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        // The composed chain `Var::softmax` runs below the last axis
+        // (`max_axis_keepdim`, `sub`, `Tensor::exp`, `sum_axes`, `div`)
+        // against the fused row kernel on the axis moved last: both
+        // must run the same `exp`, forward and backward.
+        let rank = dims.len();
+        let axis = axis_pick % (rank - 1);
+        let n = shape::numel(&dims);
+        let x = Tensor::from_vec(spiky_data(n, seed), &dims);
+        let g = Tensor::from_vec(
+            (0..n).map(|i| ((i as f32 + seed as f32) * 0.61).cos()).collect(),
+            &dims,
+        );
+        let mut swap: Vec<usize> = (0..rank).collect();
+        swap.swap(axis, rank - 1);
+        let run = |permuted: bool| {
+            let tape = traffic_tensor::Tape::new();
+            let xv = tape.leaf(x.clone(), true);
+            let y = if permuted {
+                xv.permute(&swap).softmax(rank - 1).permute(&swap)
+            } else {
+                xv.softmax(axis)
+            };
+            let grads = tape.backward(y.mul_const(&g).sum_all());
+            (y.value(), grads.get(xv).expect("softmax input gradient").clone())
+        };
+        let ((y, dx), (want_y, want_dx)) = (run(false), run(true));
+        assert_same_bits(&y, &want_y, &format!("softmax({axis}) of {dims:?} forward"));
+        assert_same_bits(&dx, &want_dx, &format!("softmax({axis}) of {dims:?} backward"));
     }
 }
 

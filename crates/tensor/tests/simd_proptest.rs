@@ -18,6 +18,9 @@
 //! `simd::scalar::*`), so they are race-free and skip cleanly on
 //! machines without AVX2.
 
+mod common;
+
+use common::spiky_data;
 use proptest::prelude::*;
 use traffic_tensor::simd::{self, scalar, Binary, Ternary, Unary};
 
@@ -69,6 +72,7 @@ fn unary_ops() -> Vec<Unary> {
         Unary::MinS(2.5),
         Unary::Tanh,
         Unary::Sigmoid,
+        Unary::Exp,
     ]
 }
 
@@ -204,6 +208,43 @@ proptest! {
     }
 
     #[test]
+    fn softmax_row_bit_identical(seed in 0u32..1000, mask_every in 1usize..6) {
+        // Every width 1..40 hits each `n % 8` tail; rows carry the
+        // `-1e9` mask on every `mask_every`-th element plus NaN/±inf
+        // from `spiky_data`, and an all-`-inf` row rides along. Rows
+        // start at offsets 0 and 3 of their buffer (unaligned loads).
+        let scales = [None, Some(0.353_553_4f32), Some(-1.7)];
+        for width in 1..40 {
+            let mut masked = spiky_data(width, seed);
+            for (i, v) in masked.iter_mut().enumerate() {
+                if i % mask_every == 0 {
+                    *v += -1e9;
+                }
+            }
+            for row in [masked, vec![f32::NEG_INFINITY; width]] {
+                for scale in scales {
+                    for off in [0, 3] {
+                        let mut want = vec![0.0f32; off + width];
+                        want[off..].copy_from_slice(&row);
+                        let mut got = want.clone();
+                        scalar::softmax_row(&mut want[off..], scale);
+                        if !simd::try_softmax_row_avx2(&mut got[off..], scale) {
+                            return Ok(()); // no AVX2 on this host
+                        }
+                        for i in off..off + width {
+                            prop_assert!(
+                                bits_eq(got[i], want[i]),
+                                "softmax {scale:?} lane {i}/{width} off {off}: {:08x} vs {:08x} (x={})",
+                                got[i].to_bits(), want[i].to_bits(), row[i - off]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn simd_sum_within_accumulation_tolerance(pool in decorated_pool()) {
         // Finite data only: ±inf/NaN make both orders degenerate.
         let clean: Vec<f32> = pool.iter().map(|v| {
@@ -250,6 +291,7 @@ proptest! {
             (a.clamp_max(1.5), a.map(|x| if x < 1.5 { x } else { 1.5 })),
             (a.tanh(), a.map(traffic_tensor::fastmath::tanh)),
             (a.sigmoid(), a.map(traffic_tensor::fastmath::sigmoid)),
+            (a.exp(), a.map(traffic_tensor::fastmath::exp)),
         ];
         for (ci, (got, want)) in cases.iter().enumerate() {
             for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
