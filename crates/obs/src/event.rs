@@ -153,7 +153,10 @@ fn push_json_num(out: &mut String, x: f64) {
     }
 }
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` get their short escapes and
+/// every other control character below U+0020 becomes `\u00XX`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

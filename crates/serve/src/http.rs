@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use traffic_obs::event::push_json_str;
 use traffic_obs::json::{self, Json};
 use traffic_obs::{counter, elapsed_ns};
 
@@ -303,19 +304,7 @@ fn pred_json(status: &str, pred: &[f32]) -> String {
 
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
 }
 
@@ -337,4 +326,22 @@ pub fn status_json(s: &EngineStatus) -> String {
         s.reloads,
         s.reload_failures
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn error_body_escapes_quote_backslash_and_control_chars() {
+        let msg = "bad \"window\" at C:\\tmp\u{1}\n";
+        let (code, body) = render_response(&ServeResponse::Error(msg.into()));
+        assert_eq!(code, 500);
+        assert_eq!(
+            body,
+            "{\"status\":\"ERROR\",\"error\":\"bad \\\"window\\\" at C:\\\\tmp\\u0001\\n\"}"
+        );
+        let parsed = json::parse(&body).expect("error body is valid JSON");
+        assert_eq!(parsed.get("error").and_then(Json::as_str), Some(msg));
+    }
 }

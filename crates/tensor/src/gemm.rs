@@ -16,6 +16,14 @@
 //! bit-identical to [`matmul_naive`], with FMA they differ from it only
 //! by the fused roundings (≲1e-6 relative at k ≈ 200).
 //!
+//! The same holds across callers that lay the operands out differently:
+//! an output element's value depends only on its row of `a`, its column
+//! of `b` and `k`, never on which `NR`, `NR/2` or remainder strip holds
+//! its column or which row block or thread computes it. That is what
+//! lets `Tensor::matmul` place many narrow right-hand slices side by side
+//! as one wide `b` (the shared-operand path in `linalg`) and still return
+//! the bits of the per-slice products.
+//!
 //! FLOP accounting: callers that time a multiply report it through
 //! [`record_flops`], which feeds the `compute/flops` counter and the
 //! `compute/gemm_gflops` histogram in the `traffic-obs` registry —
@@ -244,6 +252,16 @@ pub fn gemm_overwrite_bt(
         }
         pc += kc;
     }
+}
+
+/// Width of [`micro_tile`]'s narrow register strip.
+pub(crate) const HALF_STRIP: usize = NR / 2;
+
+/// True when an `n`-wide output is covered by full `NR` / `NR/2`
+/// register strips, so no column falls in [`micro_tile`]'s slower
+/// remainder strip.
+pub(crate) fn fills_register_strips(n: usize) -> bool {
+    n >= NR && n.is_multiple_of(HALF_STRIP)
 }
 
 /// Scratch length [`gemm_overwrite_bt`] needs for a `k × n` right-hand

@@ -3,10 +3,14 @@
 //! Products are computed by the blocked, register-tiled kernel in
 //! [`crate::gemm`] and scheduled on the persistent worker pool
 //! ([`crate::pool`]): tasks are `(batch, row-block)` slices of the
-//! output, so a batch-1 `[N, N] · [N, F]` graph-conv product — the hot
-//! shape of every model's forward pass — uses every core, not just one.
-//! Accumulation order per output element never changes with the task
-//! split, so results are bit-identical at any `TRAFFIC_THREADS`.
+//! output, so even a single product uses every core. A single `[m, k]`
+//! matrix broadcast over many narrow slices — a graph operator applied
+//! to `[B·T, N, F]` node features, forward and backward — is instead run
+//! as a few wide `[m, k] · [k, g·n]` products over groups of `g` slices
+//! ([`matmul_shared_a`]), so the kernel packs the operator once per
+//! group rather than once per slice. Accumulation order per output
+//! element never changes with the path or the task split, so results
+//! are bit-identical at any `TRAFFIC_THREADS`.
 
 use crate::gemm;
 use crate::pool;
@@ -16,6 +20,21 @@ use crate::tensor::Tensor;
 /// Below this many flops a multiply runs inline on the calling thread;
 /// dispatch overhead beats any parallel win.
 pub(crate) const PAR_FLOPS: usize = 1 << 17;
+
+/// Smallest `m · k` of a shared left operand that takes the wide path
+/// ([`matmul_shared_a`]). Below it — the 12–14-node dense propagators of
+/// the Fig-1 sweep — the layout copies cost more than the repacking of
+/// `a` they save.
+const WIDE_MIN_MK: usize = 64 * 64;
+/// Widest per-slice `n` that takes the wide path. Wider slices, and
+/// slices whose columns fill whole register strips (`n` = 16, 24, 32,
+/// …), already amortise the packing of `a`: on `[207, 207]` the wide
+/// path made `n` = 16–48 up to 25% slower and `n` = 8, 12, 17 two to
+/// eight times faster.
+const WIDE_MAX_N: usize = 64;
+/// Column budget of one packed `b` group: a `KC × WIDE_COLS` panel
+/// (256 KB) stays in L2 while the row tiles of `a` stream past it.
+const WIDE_COLS: usize = 256;
 
 impl Tensor {
     /// Batched matrix product.
@@ -153,7 +172,12 @@ impl Tensor {
             }
         };
         let parallel = total_flops >= PAR_FLOPS && pool::effective_threads() > 1;
-        if !parallel {
+        let shared_a = numel(a_batch) == 1 && numel(b_batch) == nbatch && nbatch > 1;
+        let narrow = n <= WIDE_MAX_N && !gemm::fills_register_strips(n);
+        if shared_a && !tb && narrow && m * ka >= WIDE_MIN_MK {
+            let _serial = (!parallel).then(|| pool::ThreadCapGuard::new(1));
+            matmul_shared_a(a_data, b_data, &mut out, ta, nbatch, m, ka, n);
+        } else if !parallel {
             let mut scratch = Vec::new();
             for (bi, dst) in out.chunks_mut(m * n).enumerate() {
                 run_one(bi, dst, &mut scratch);
@@ -201,6 +225,64 @@ impl Tensor {
         gemm::record_flops(total_flops, timer.elapsed().as_secs_f64());
         Tensor::from_vec(out, &out_shape)
     }
+}
+
+/// `out[bi] = op(a) · b[bi]` for one left matrix shared by all `nb`
+/// right-hand slices (`op(a) = aᵀ` with `ta`, read from `[k, m]`
+/// storage), run as wide `[m, k] · [k, g·n]` products over groups of
+/// `g` slices instead of `nb` narrow ones that would each repack all of
+/// `a`.
+///
+/// Each task packs its group of slices side by side into a `[k, g·n]`
+/// panel, runs the blocked kernel into an `[m, g·n]` buffer and writes
+/// it back as `[g, m, n]`. The copies move values and never add them,
+/// and the kernel gives each output element "start from zero, add `k`
+/// products in ascending order" whatever its column strip, so the
+/// result is bit-identical to the per-slice products.
+#[allow(clippy::too_many_arguments)]
+fn matmul_shared_a(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    ta: bool,
+    nb: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // As many slices per group as fit WIDE_COLS columns, with the group
+    // count rounded up to a multiple of the thread count so every
+    // thread gets an equal share, and the group width to a whole number
+    // of register strips so no column lands in the remainder strip.
+    let threads = pool::effective_threads();
+    let groups = (nb * n).div_ceil(WIDE_COLS).next_multiple_of(threads).clamp(1, nb);
+    let align = (1..)
+        .find(|g| (g * n).is_multiple_of(gemm::HALF_STRIP))
+        .expect("HALF_STRIP slices always align");
+    let per_group = nb.div_ceil(groups).next_multiple_of(align).min(nb);
+    pool::parallel_chunks_mut(out, per_group * m * n, |gi, dst| {
+        let w = dst.len() / m;
+        let mut panel = crate::mem::take_uninit(k * w);
+        let slices = b[gi * per_group * k * n..].chunks_exact(k * n);
+        for (s, src) in slices.take(w / n).enumerate() {
+            for (p, row) in src.chunks_exact(n).enumerate() {
+                panel[p * w + s * n..][..n].copy_from_slice(row);
+            }
+        }
+        let mut wide = crate::mem::take_uninit(m * w);
+        if ta {
+            gemm::gemm_overwrite_at(a, &panel, &mut wide, m, k, w);
+        } else {
+            gemm::gemm_overwrite(a, &panel, &mut wide, m, k, w);
+        }
+        for (s, dst_s) in dst.chunks_exact_mut(m * n).enumerate() {
+            for (i, row) in dst_s.chunks_exact_mut(n).enumerate() {
+                row.copy_from_slice(&wide[i * w + s * n..][..n]);
+            }
+        }
+        crate::mem::recycle(panel);
+        crate::mem::recycle(wide);
+    });
 }
 
 /// Flat `(a, b)` matrix offsets for every broadcast batch index,
@@ -396,6 +478,15 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "nt {ash:?}·{bsh:?}: {g} vs {w}");
             }
         }
+    }
+
+    #[test]
+    fn shared_operand_with_empty_slices() {
+        // Above the size floor with n = 0: an empty product, not a
+        // division by a zero group count.
+        let a = Tensor::ones(&[70, 70]);
+        assert_eq!(a.matmul(&Tensor::zeros(&[3, 70, 0])).shape(), &[3, 70, 0]);
+        assert_eq!(a.matmul_tn(&Tensor::zeros(&[3, 70, 0])).shape(), &[3, 70, 0]);
     }
 
     #[test]

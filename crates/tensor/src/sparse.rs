@@ -201,12 +201,14 @@ fn record_spmm(flops: usize, secs: f64) {
 
 /// A fixed graph-propagation operator `x ↦ A · x`, stored sparse (CSR,
 /// with its cached transpose for the backward pass) when `A` is sparse
-/// enough and dense otherwise. Built once per layer from the dense
-/// adjacency/Laplacian/transition matrix the graph crate produces.
+/// enough and dense otherwise (the dense backward reads `A` as `Aᵀ`
+/// through [`Tensor::matmul_tn`], so no transpose is stored). Built
+/// once per layer from the dense adjacency/Laplacian/transition matrix
+/// the graph crate produces.
 #[derive(Debug, Clone)]
 pub enum Propagator {
-    /// Dense operator with its cached transpose.
-    Dense { a: Tensor, at: Tensor },
+    /// Dense operator.
+    Dense { a: Tensor },
     /// CSR operator with its cached transpose.
     Sparse { a: Arc<CsrMatrix>, at: Arc<CsrMatrix> },
 }
@@ -227,8 +229,7 @@ impl Propagator {
             let at = Arc::new(csr.transpose());
             Propagator::Sparse { a: Arc::new(csr), at }
         } else {
-            let at = a.t();
-            Propagator::Dense { a, at }
+            Propagator::Dense { a }
         }
     }
 
@@ -240,7 +241,7 @@ impl Propagator {
     /// Node count `N` (the operator is square).
     pub fn n(&self) -> usize {
         match self {
-            Propagator::Dense { a, .. } => a.shape()[0],
+            Propagator::Dense { a } => a.shape()[0],
             Propagator::Sparse { a, .. } => a.rows(),
         }
     }
@@ -248,7 +249,7 @@ impl Propagator {
     /// Applies `A ·` to a plain tensor (`[N, F]` or `[B, N, F]`).
     pub fn apply_tensor(&self, x: &Tensor) -> Tensor {
         match self {
-            Propagator::Dense { a, .. } => a.matmul(x),
+            Propagator::Dense { a } => a.matmul(x),
             Propagator::Sparse { a, .. } => a.matmul(x),
         }
     }
@@ -261,9 +262,9 @@ impl Propagator {
         assert_eq!(tape.id(), x.tape().id(), "propagator applied to a Var from a different tape");
         let y = self.apply_tensor(&x.value());
         match self {
-            Propagator::Dense { at, .. } => {
-                let at = at.clone();
-                tape.unary("prop_apply", &x, y, move |g| at.matmul(g))
+            Propagator::Dense { a } => {
+                let a = a.clone();
+                tape.unary("prop_apply", &x, y, move |g| a.matmul_tn(g))
             }
             Propagator::Sparse { at, .. } => {
                 let at = Arc::clone(at);
@@ -342,6 +343,36 @@ mod tests {
         let dense = Propagator::from_matrix(Tensor::ones(&[8, 8]));
         assert!(!dense.is_sparse());
         assert_eq!(sparse.n(), 32);
+    }
+
+    #[test]
+    fn dense_propagator_grad_bit_identical_to_stored_transpose() {
+        // The dense backward reads A as Aᵀ in place; it must equal the
+        // product with a materialised transpose bit for bit, on the
+        // per-slice path (n = 16) and the shared-operand one (n = 12).
+        let n = 70;
+        let a = Tensor::from_vec(
+            (0..n * n).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013).collect(),
+            &[n, n],
+        );
+        let prop = Propagator::with_max_density(a.clone(), 0.0);
+        assert!(!prop.is_sparse());
+        for f in [12, 16] {
+            let tape = Tape::new();
+            let x = tape.leaf(Tensor::ones(&[5, n, f]), true);
+            let seed = Tensor::from_vec(
+                (0..5 * n * f).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021).collect(),
+                &[5, n, f],
+            );
+            let loss = prop.apply(&tape, x).mul(&tape.constant(seed.clone())).sum_all();
+            let g = tape.backward(loss);
+            let got = g.get(x).unwrap();
+            let want = a.t().matmul(&seed);
+            assert_eq!(got.shape(), want.shape());
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "f = {f}: {g} vs {w}");
+            }
+        }
     }
 
     #[test]

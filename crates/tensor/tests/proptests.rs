@@ -587,3 +587,101 @@ proptest! {
         }
     }
 }
+
+/// One left matrix shared by every slice of `b`, three ways: `a · b`
+/// (or `aᵀ · b` from `[k, m]` storage with `tn`) through `Tensor`,
+/// the same product through `Var::matmul`, and that node's gradient
+/// into `b` under the upstream gradient `w`.
+fn shared_operand_run(a: &Tensor, b: &Tensor, w: &Tensor, tn: bool) -> Vec<Tensor> {
+    if tn {
+        return vec![a.matmul_tn(b)];
+    }
+    let tape = traffic_tensor::Tape::new();
+    let (av, bv) = (tape.leaf(a.clone(), true), tape.leaf(b.clone(), true));
+    let y = av.matmul(&bv);
+    let grads = tape.backward(y.mul_const(w).sum_all());
+    vec![a.matmul(b), y.value(), grads.get(bv).expect("gradient into b").clone()]
+}
+
+/// The per-slice oracle for [`shared_operand_run`]: a loop of 2-D
+/// products, one per slice of `b`, whose results are stacked back.
+fn shared_operand_oracle(a: &Tensor, b: &Tensor, w: &Tensor, tn: bool) -> Vec<Tensor> {
+    let (ar, br) = (a.rank(), b.rank());
+    let a2 = a.reshape(&a.shape()[ar - 2..]);
+    let (k, n) = (b.shape()[br - 2], b.shape()[br - 1]);
+    let m = if tn { a2.shape()[1] } else { a2.shape()[0] };
+    let nb = b.len() / (k * n);
+    let b3 = b.reshape(&[nb, k, n]);
+    let w3 = w.reshape(&[nb, m, n]);
+    let stack = |f: &dyn Fn(usize) -> Tensor, rows: usize| {
+        let parts: Vec<Tensor> = (0..nb).map(f).collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        let mut shape = b.shape()[..br - 2].to_vec();
+        shape.extend([rows, n]);
+        Tensor::concat(&refs, 0).reshape(&shape)
+    };
+    let slice = |t: &Tensor, i: usize, r: usize| t.narrow(0, i, 1).reshape(&[r, n]);
+    if tn {
+        return vec![stack(&|i| a2.matmul_tn(&slice(&b3, i, k)), m)];
+    }
+    let y = stack(&|i| a2.matmul(&slice(&b3, i, k)), m);
+    let gb = stack(&|i| a2.matmul_tn(&slice(&w3, i, m)), k);
+    vec![y.clone(), y, gb]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn shared_operand_matmul_matches_per_slice_loop(
+        mi in 0usize..7,
+        ki in 0usize..7,
+        ni in 0usize..4,
+        nbi in 0usize..4,
+        form in 0usize..3,
+        tn_pick in 0usize..2,
+        seed in 0u32..1000,
+    ) {
+        // m < MR = 6 and m ≥ MR; k crosses KC = 256; m·k falls on both
+        // sides of the 64² floor (e.g. 5·900 above it, 47·40 below);
+        // n = 12 and 17 leave a remainder strip, n = 1 and 4 only that;
+        // 48 slices make several column groups and a partial last one.
+        let tn = tn_pick == 1;
+        let nb = [2, 3, 5, 48][nbi];
+        let m = [1, 3, 5, 6, 13, 47, 70][mi];
+        let k = [7, 40, 64, 100, 257, 300, 900][ki];
+        let n = [1, 4, 12, 17][ni];
+        // form 0: a [m, k] · b [nb, k, n]; 1: a [1, m, k]; 2: b [2, 3, k, n].
+        let a_shape = match (form, tn) {
+            (1, false) => vec![1, m, k],
+            (1, true) => vec![1, k, m],
+            (_, false) => vec![m, k],
+            (_, true) => vec![k, m],
+        };
+        let lead = if form == 2 { vec![2, 3] } else { vec![nb] };
+        let mut b_shape = lead.clone();
+        b_shape.extend([k, n]);
+        let mut w_shape = lead;
+        w_shape.extend([m, n]);
+        // Finite data: a NaN or infinity in most k-long dot products
+        // would make nearly every output NaN and hide wrong placement.
+        let data = |s: &[usize], off: u32| {
+            let n = shape::numel(s);
+            Tensor::from_vec(
+                (0..n).map(|i| ((i as f32 + (seed + off) as f32) * 0.37).sin() * 3.0).collect(),
+                s,
+            )
+        };
+        let (a, b, w) = (data(&a_shape, 0), data(&b_shape, 1), data(&w_shape, 2));
+        let want = shared_operand_oracle(&a, &b, &w, tn);
+        for cap in [1, 2] {
+            let _cap = traffic_tensor::pool::ThreadCapGuard::new(cap);
+            let got = shared_operand_run(&a, &b, &w, tn);
+            let whats = ["Tensor product", "Var::matmul", "grad b"];
+            for (i, what) in whats.iter().enumerate().take(got.len()) {
+                let at = format!("{what} at cap {cap}, {a_shape:?}·{b_shape:?}");
+                assert_same_bits(&got[i], &want[i], &at);
+            }
+        }
+    }
+}
