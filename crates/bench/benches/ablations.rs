@@ -101,7 +101,11 @@ fn bench(c: &mut Criterion) {
     horizon_error_growth("Graph-WaveNet");
     println!();
 
-    // Timed kernel: STGCN many-to-one rollout vs single-step forward.
+    // Timed kernel: STGCN many-to-one rollout vs single-step forward. The
+    // rollout is still 12 sequential steps, but only its first runs the
+    // full window; each later step computes one new time column per layer
+    // from the columns every temporal conv kept, so it costs well under
+    // 12 single steps.
     let scale = bench_scale();
     let exp = prepare_experiment("METR-LA", &scale, 42);
     let mut rng = StdRng::seed_from_u64(1);

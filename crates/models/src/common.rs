@@ -33,9 +33,14 @@ impl GraphContext {
     /// Builds every matrix from a road network. `se_dim` sizes the node
     /// embedding.
     pub fn from_network(net: &RoadNetwork, se_dim: usize) -> Self {
-        let adjacency = gaussian_adjacency(net, 0.05);
+        Self::from_adjacency(gaussian_adjacency(net, 0.05), se_dim)
+    }
+
+    /// Derives every matrix from a weighted `[N, N]` adjacency (the one
+    /// derivation shared by training and snapshot loading).
+    pub fn from_adjacency(adjacency: Tensor, se_dim: usize) -> Self {
         GraphContext {
-            n: net.num_nodes(),
+            n: adjacency.shape()[0],
             scaled_laplacian: scaled_laplacian(&adjacency),
             supports: diffusion_supports(&adjacency),
             row_norm_adj: row_normalize(&symmetrize(&adjacency)),

@@ -140,16 +140,12 @@ impl Stgcn {
             blocks.push(StConvBlock { t1, spatial, t2 });
             in_c = c3;
         }
-        // After two blocks the time axis has t_in − 4(kt−1) steps left;
-        // the output conv collapses it to one.
-        let remaining = cfg.t_in - 4 * (cfg.kt - 1);
-        assert!(remaining >= 1, "t_in too small for two ST-Conv blocks");
         let out_conv = GatedTemporalConv::new(
             &mut store,
             "out.temporal",
             c3,
             c3,
-            remaining,
+            out_kernel(&cfg),
             1,
             TemporalPadding::Valid,
             rng,
@@ -170,12 +166,43 @@ impl Stgcn {
 
     /// One-step-ahead prediction: `[B, T_in, N, C] -> [B, N]`.
     pub fn forward_step<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
+        assert_eq!(x.shape()[1], self.cfg.t_in, "STGCN expects t_in = {}", self.cfg.t_in);
+        self.pass(tape, to_conv_layout(x), None)
+    }
+
+    /// The layer pass on `[B, C, N, T]` (conv layout), returning `[B, N]`.
+    ///
+    /// With `tails`, every temporal conv first prepends the columns it kept
+    /// from the previous rollout step (none on the first step), then keeps
+    /// the last `k − 1` columns of that widened input for the next step.
+    /// After a first pass over the full window, a pass fed the window's one
+    /// new column therefore convolves exactly `k` columns per layer and
+    /// computes only the newest output column of each. The spatial conv
+    /// and the 1×1 head act per time slice and keep nothing.
+    fn pass<'t>(&self, tape: &'t Tape, x: Var<'t>, mut tails: Option<&mut Tails<'t>>) -> Var<'t> {
         let shape = x.shape();
-        let (b, t, n) = (shape[0], shape[1], shape[2]);
-        assert_eq!(t, self.cfg.t_in, "STGCN expects t_in = {}", self.cfg.t_in);
-        let mut h = to_conv_layout(x); // [B, C, N, T]
+        let (b, n) = (shape[0], shape[2]);
+        let mut slot = 0;
+        let mut temporal = |conv: &GatedTemporalConv, k: usize, h: Var<'t>| {
+            let Some(tails) = tails.as_deref_mut().filter(|_| k > 1) else {
+                return conv.forward(tape, h);
+            };
+            let h = match tails.get(slot) {
+                Some(&tail) => Var::concat(&[tail, h], 3),
+                None => h,
+            };
+            let t = h.shape()[3];
+            let tail = h.narrow(3, t - (k - 1), k - 1);
+            match tails.get_mut(slot) {
+                Some(kept) => *kept = tail,
+                None => tails.push(tail),
+            }
+            slot += 1;
+            conv.forward(tape, h)
+        };
+        let mut h = x;
         for block in &self.blocks {
-            h = block.t1.forward(tape, h);
+            h = temporal(&block.t1, self.cfg.kt, h);
             // spatial conv per time slice: [B, C, N, T'] -> [B*T', N, C]
             let hs = h.shape();
             let (c, tt) = (hs[1], hs[3]);
@@ -183,25 +210,26 @@ impl Stgcn {
             let sp = block.spatial.forward(tape, flat).relu();
             let c2 = sp.shape()[2];
             h = sp.reshape(&[b, tt, n, c2]).permute(&[0, 3, 2, 1]);
-            h = block.t2.forward(tape, h);
+            h = temporal(&block.t2, self.cfg.kt, h);
         }
-        let h = self.out_conv.forward(tape, h); // [B, C, N, 1]
+        let h = temporal(&self.out_conv, out_kernel(&self.cfg), h); // [B, C, N, 1]
         let y = self.head.forward(tape, h); // [B, 1, N, 1]
         y.reshape(&[b, n])
     }
+}
 
-    /// Rebuilds the input window after predicting one step: drops the
-    /// oldest step and appends `(prediction, next time-of-day)`.
-    fn extend_window<'t>(&self, tape: &'t Tape, x: Var<'t>, pred: Var<'t>) -> Var<'t> {
-        let shape = x.shape();
-        let (b, t, n) = (shape[0], shape[1], shape[2]);
-        // Next time-of-day from the last step's (constant) feature.
-        let last_tod = x.narrow(1, t - 1, 1).narrow(3, 1, 1).value(); // [B,1,N,1]
-        let next_tod = tape.constant(last_tod.map(advance_time_of_day));
-        let val = pred.reshape(&[b, 1, n, 1]);
-        let step = Var::concat(&[val, next_tod], 3); // [B,1,N,2]
-        Var::concat(&[x.narrow(1, 1, t - 1), step], 1)
-    }
+/// Per temporal conv with a kernel wider than one column, in pass order:
+/// the last `k − 1` columns of its input along time, carried from one
+/// rollout step to the next (the queues of Fast WaveNet generation,
+/// Paine et al. 2016).
+type Tails<'t> = Vec<Var<'t>>;
+
+/// Kernel width of the output temporal conv: after two ST-Conv blocks the
+/// time axis has `t_in − 4(kt−1)` steps left, and this conv collapses it
+/// to one.
+fn out_kernel(cfg: &StgcnConfig) -> usize {
+    assert!(cfg.t_in > 4 * (cfg.kt - 1), "t_in too small for two ST-Conv blocks");
+    cfg.t_in - 4 * (cfg.kt - 1)
 }
 
 impl TrafficModel for Stgcn {
@@ -220,23 +248,30 @@ impl TrafficModel for Stgcn {
     fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>, train: Option<&mut TrainCtx<'_>>) -> Var<'t> {
         let shape = x.shape();
         let (b, n) = (shape[0], shape[2]);
-        if let Some(ctx) = train {
+        if train.is_some() {
             // Many-to-one training: learn the 1-step prediction only. The
-            // trainer pairs this with `train_horizon() == 1`. During the
-            // rollout-free training pass we optionally jitter the input via
-            // dropout-free noise for regularisation — here we simply use
-            // the plain 1-step forward.
-            let _ = &ctx.rng;
+            // trainer pairs this with `train_horizon() == 1`.
             let one = self.forward_step(tape, x);
             return one.reshape(&[b, 1, n]);
         }
-        // Inference: autoregressive rollout to t_out steps.
-        let mut window = x;
+        // Inference: autoregressive rollout to t_out steps. The first step
+        // runs the full window; every later step feeds the pass only the
+        // window's new column, `(prediction, next time-of-day)`, and the
+        // layers' tails supply the rest.
+        let t = shape[1];
+        assert_eq!(t, self.cfg.t_in, "STGCN expects t_in = {}", self.cfg.t_in);
+        // Time-of-day of the window's last step: [B, 1, N, 1], which is
+        // also the conv layout of one channel at one time step.
+        let mut tod = x.value().narrow(1, t - 1, 1).narrow(3, 1, 1);
+        let mut tails = Tails::new();
+        let mut pred = self.pass(tape, to_conv_layout(x), Some(&mut tails));
         let mut steps = Vec::with_capacity(self.cfg.t_out);
-        for _ in 0..self.cfg.t_out {
-            let pred = self.forward_step(tape, window);
+        steps.push(pred.reshape(&[b, 1, n]));
+        for _ in 1..self.cfg.t_out {
+            tod = tod.map(advance_time_of_day);
+            let column = Var::concat(&[pred.reshape(&[b, 1, n, 1]), tape.constant(tod.clone())], 1);
+            pred = self.pass(tape, column, Some(&mut tails));
             steps.push(pred.reshape(&[b, 1, n]));
-            window = self.extend_window(tape, window, pred);
         }
         Var::concat(&steps, 1)
     }
@@ -310,22 +345,103 @@ mod tests {
         }
     }
 
+    /// Test oracle: rebuilds the input window after predicting one step,
+    /// dropping the oldest step and appending `(prediction, next
+    /// time-of-day)`.
+    fn extend_window<'t>(tape: &'t Tape, x: Var<'t>, pred: Var<'t>) -> Var<'t> {
+        let shape = x.shape();
+        let (b, t, n) = (shape[0], shape[1], shape[2]);
+        let last_tod = x.narrow(1, t - 1, 1).narrow(3, 1, 1).value(); // [B,1,N,1]
+        let next_tod = tape.constant(last_tod.map(advance_time_of_day));
+        let val = pred.reshape(&[b, 1, n, 1]);
+        let step = Var::concat(&[val, next_tod], 3); // [B,1,N,2]
+        Var::concat(&[x.narrow(1, 1, t - 1), step], 1)
+    }
+
+    /// Test oracle: the full-recompute rollout, which re-runs the whole
+    /// network on every shifted window.
+    fn full_rollout<'t>(model: &Stgcn, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
+        let shape = x.shape();
+        let (b, n) = (shape[0], shape[2]);
+        let mut window = x;
+        let mut steps = Vec::new();
+        for _ in 0..model.cfg.t_out {
+            let pred = model.forward_step(tape, window);
+            steps.push(pred.reshape(&[b, 1, n]));
+            window = extend_window(tape, window, pred);
+        }
+        Var::concat(&steps, 1)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn window_extension_shifts_time() {
-        let (ctx, mut rng) = setup();
-        let model = Stgcn::new(&ctx, StgcnConfig::default(), &mut rng);
         let tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(
             (0..12 * 8 * 2).map(|i| i as f32 / 100.0).collect(),
             &[1, 12, 8, 2],
         ));
         let pred = tape.constant(Tensor::full(&[1, 8], 9.0));
-        let w2 = model.extend_window(&tape, x, pred);
+        let w2 = extend_window(&tape, x, pred);
         assert_eq!(w2.shape(), vec![1, 12, 8, 2]);
         // first step of new window == second step of old
         assert_eq!(w2.value().at(&[0, 0, 3, 0]), x.value().at(&[0, 1, 3, 0]));
         // last value feature is the prediction
         assert_eq!(w2.value().at(&[0, 11, 5, 0]), 9.0);
+        // last time-of-day feature is one step past the old window's last
+        assert_eq!(
+            w2.value().at(&[0, 11, 5, 1]),
+            advance_time_of_day(x.value().at(&[0, 11, 5, 1]))
+        );
+    }
+
+    #[test]
+    fn incremental_rollout_matches_full_recompute_bitwise() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let net = freeway_corridor(9, 1.0, &mut rng);
+        let ctx = GraphContext::from_network(&net, 4);
+        let configs = [
+            StgcnConfig::default(),
+            StgcnConfig { spatial_kind: SpatialKind::Diffusion, ..Default::default() },
+            StgcnConfig { t_out: 1, ..Default::default() },
+            StgcnConfig { kt: 2, ..Default::default() },
+            StgcnConfig { kt: 2, spatial_kind: SpatialKind::Diffusion, ..Default::default() },
+            // t_in = 4(kt−1) + 1: the output conv is one column wide.
+            StgcnConfig { t_in: 9, ..Default::default() },
+        ];
+        for cfg in configs {
+            let model = Stgcn::new(&ctx, cfg.clone(), &mut rng);
+            // Non-zero biases and weights away from their init.
+            for p in model.store().params() {
+                p.set_value(traffic_tensor::init::uniform(&p.shape(), -0.5, 0.5, &mut rng));
+            }
+            for batch in [1, 3] {
+                let values =
+                    traffic_tensor::init::uniform(&[batch, cfg.t_in, 9, 1], -2.0, 2.0, &mut rng);
+                let tod =
+                    traffic_tensor::init::uniform(&[batch, cfg.t_in, 9, 1], 0.0, 1.0, &mut rng);
+                let x = Tensor::concat(&[&values, &tod], 3);
+                for cap in [1, 2] {
+                    for inference in [true, false] {
+                        let _cap = traffic_tensor::pool::ThreadCapGuard::new(cap);
+                        let _inf = inference.then(traffic_tensor::inference::InferenceGuard::enter);
+                        let tape = Tape::new();
+                        let got = model.forward(&tape, tape.constant(x.clone()), None).value();
+                        let tape = Tape::new();
+                        let want = full_rollout(&model, &tape, tape.constant(x.clone())).value();
+                        assert_eq!(got.shape(), &[batch, cfg.t_out, 9]);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{cfg:?} batch {batch} cap {cap} inference {inference}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

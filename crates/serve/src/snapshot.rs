@@ -38,7 +38,6 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traffic_graph::{row_normalize, scaled_laplacian, spectral_embedding, symmetrize};
 use traffic_models::{build_model, GraphContext, TrafficModel};
 use traffic_nn::tnn2::{self, PayloadReader, PayloadWriter};
 use traffic_nn::CheckpointError;
@@ -237,14 +236,7 @@ impl ServeSnapshot {
     pub fn instantiate(self) -> Result<LoadedModel, CheckpointError> {
         let snap = self;
         let build = catch_unwind(AssertUnwindSafe(|| {
-            let ctx = GraphContext {
-                n: snap.n,
-                scaled_laplacian: scaled_laplacian(&snap.adjacency),
-                supports: traffic_graph::diffusion_supports(&snap.adjacency),
-                row_norm_adj: row_normalize(&symmetrize(&snap.adjacency)),
-                node_embedding: spectral_embedding(&snap.adjacency, snap.se_dim),
-                adjacency: snap.adjacency.clone(),
-            };
+            let ctx = GraphContext::from_adjacency(snap.adjacency.clone(), snap.se_dim);
             let mut rng = StdRng::seed_from_u64(snap.seed);
             build_model(&snap.model, &ctx, &mut rng)
         }));
@@ -398,6 +390,30 @@ mod tests {
         let loaded = back.instantiate().unwrap();
         assert!(loaded.num_params() > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn decoded_adjacency_rebuilds_the_training_context_bytewise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = traffic_graph::freeway_corridor(7, 1.0, &mut rng);
+        let trained = GraphContext::from_network(&net, 4);
+        let model = build_model("GMAN", &trained, &mut rng);
+        let snap =
+            ServeSnapshot::capture(model.as_ref(), &trained.adjacency, 4, 12, 12, 55.0, 12.0, 9);
+        let back = ServeSnapshot::decode(&snap.encode()).unwrap();
+        let served = GraphContext::from_adjacency(back.adjacency, back.se_dim);
+        let bits = |t: &Tensor| -> (Vec<usize>, Vec<u32>) {
+            (t.shape().to_vec(), t.as_slice().iter().map(|v| v.to_bits()).collect())
+        };
+        assert_eq!(served.n, trained.n);
+        assert_eq!(bits(&served.adjacency), bits(&trained.adjacency));
+        assert_eq!(bits(&served.scaled_laplacian), bits(&trained.scaled_laplacian));
+        assert_eq!(served.supports.len(), trained.supports.len());
+        for (a, b) in served.supports.iter().zip(&trained.supports) {
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(bits(&served.row_norm_adj), bits(&trained.row_norm_adj));
+        assert_eq!(bits(&served.node_embedding), bits(&trained.node_embedding));
     }
 
     #[test]

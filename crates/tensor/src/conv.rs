@@ -5,7 +5,7 @@
 //! padding for dilated TCNs) is applied by the caller with [`Tensor::pad`].
 
 use crate::pool;
-use crate::tensor::{Tensor, ELEMENTWISE_PAR_THRESHOLD};
+use crate::tensor::{copy_runs, Tensor, ELEMENTWISE_PAR_THRESHOLD};
 
 /// Output spatial size of a stride-1 dilated convolution (no padding).
 pub fn conv_out_len(input: usize, kernel: usize, dilation: usize) -> usize {
@@ -21,7 +21,7 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, dh: usize, dw: usize) -> Ten
     let oh = conv_out_len(h, kh, dh);
     let ow = conv_out_len(w, kw, dw);
     let batch_block = c * kh * kw * oh * ow;
-    // Every output slot is covered by exactly one contiguous copy below.
+    // Every output slot is written exactly once by the run copies below.
     let mut out = crate::mem::take_uninit(b * batch_block);
     let data = input.as_slice();
     let mut prof = traffic_obs::profile::op("conv", "im2col");
@@ -42,15 +42,19 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, dh: usize, dw: usize) -> Ten
                 let in_base = (bi * c + ci) * in_hw;
                 for ki in 0..kh {
                     for kj in 0..kw {
-                        let row = ((ci * kh + ki) * kw + kj) * out_cols;
-                        for oi in 0..oh {
-                            let src = in_base + (oi + ki * dh) * w + kj * dw;
-                            let at = row + oi * ow;
-                            // The source walks the W axis with unit stride
-                            // (only the kernel taps are dilated), so this is
-                            // always a contiguous copy.
-                            dst[at..at + ow].copy_from_slice(&data[src..src + ow]);
-                        }
+                        // One run of `ow` elements per output row: the
+                        // source walks the W axis with unit stride (only
+                        // the kernel taps are dilated).
+                        copy_runs(
+                            dst,
+                            ((ci * kh + ki) * kw + kj) * out_cols,
+                            ow,
+                            data,
+                            in_base + ki * dh * w + kj * dw,
+                            w,
+                            ow,
+                            oh,
+                        );
                     }
                 }
             }

@@ -685,3 +685,109 @@ proptest! {
         }
     }
 }
+
+// ------------- run copies (narrow, concat, im2col) vs index-by-index -------------
+
+/// A tensor whose every element is distinct (its flat index), so a copy
+/// that lands anywhere but its own slot shows.
+fn indexed(shape: &[usize]) -> Tensor {
+    Tensor::from_vec((0..shape::numel(shape)).map(|i| i as f32).collect(), shape)
+}
+
+/// `outer ++ [d] ++ inner` as `(outer count, inner count, shape)`.
+fn around(outer: &[usize], d: usize, inner: &[usize]) -> (usize, usize, Vec<usize>) {
+    let shape: Vec<usize> = outer.iter().copied().chain([d]).chain(inner.iter().copied()).collect();
+    (outer.iter().product(), inner.iter().product(), shape)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Runs of `len · inner` elements: 1–9 and wider cross the short-run
+    /// threshold from both sides; zero-sized outer, inner and narrowed
+    /// axes give empty runs and empty outputs.
+    #[test]
+    fn narrow_matches_index_by_index(
+        outer in prop::collection::vec(0usize..4, 0..3),
+        inner in prop::collection::vec(0usize..3, 0..2),
+        len in 0usize..11,
+        start in 0usize..3,
+        after in 0usize..3,
+    ) {
+        let d = start + len + after;
+        let (o_n, i_n, shape) = around(&outer, d, &inner);
+        let x = indexed(&shape);
+        let got = x.narrow(outer.len(), start, len);
+        let mut want = Vec::new();
+        for o in 0..o_n {
+            for j in 0..len {
+                for i in 0..i_n {
+                    want.push(x.as_slice()[(o * d + start + j) * i_n + i]);
+                }
+            }
+        }
+        let mut want_shape = shape.clone();
+        want_shape[outer.len()] = len;
+        assert_same_bits(&got, &Tensor::from_vec(want, &want_shape), "narrow");
+    }
+
+    #[test]
+    fn concat_matches_index_by_index(
+        outer in prop::collection::vec(0usize..4, 0..3),
+        inner in prop::collection::vec(0usize..3, 0..2),
+        sizes in prop::collection::vec(0usize..11, 1..4),
+    ) {
+        let axis = outer.len();
+        let parts: Vec<Tensor> = sizes
+            .iter()
+            .enumerate()
+            .map(|(p, &d)| indexed(&around(&outer, d, &inner).2).add_scalar(1000.0 * p as f32))
+            .collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        let got = Tensor::concat(&refs, axis);
+        let (o_n, i_n, _) = around(&outer, 0, &inner);
+        let mut want = Vec::new();
+        for o in 0..o_n {
+            for (p, &d) in parts.iter().zip(&sizes) {
+                for j in 0..d {
+                    for i in 0..i_n {
+                        want.push(p.as_slice()[(o * d + j) * i_n + i]);
+                    }
+                }
+            }
+        }
+        let want_shape = around(&outer, sizes.iter().sum(), &inner).2;
+        assert_same_bits(&got, &Tensor::from_vec(want, &want_shape), "concat");
+    }
+
+    /// Output rows of `ow` = 1–10 columns cross the short-run threshold;
+    /// dilated taps on both axes; zero batches or channels give an empty
+    /// unfold.
+    #[test]
+    fn im2col_matches_index_by_index(
+        b in 0usize..3,
+        c in 0usize..3,
+        (kh, dh, oh) in (1usize..3, 1usize..3, 1usize..4),
+        (kw, dw, ow) in (1usize..4, 1usize..4, 1usize..11),
+    ) {
+        let (h, w) = (oh + (kh - 1) * dh, ow + (kw - 1) * dw);
+        let x = indexed(&[b, c, h, w]);
+        let got = traffic_tensor::conv::im2col(&x, kh, kw, dh, dw);
+        let mut want = Vec::new();
+        for bi in 0..b {
+            for ci in 0..c {
+                for ki in 0..kh {
+                    for kj in 0..kw {
+                        for oi in 0..oh {
+                            for oj in 0..ow {
+                                want.push(x.at(&[bi, ci, oi + ki * dh, oj + kj * dw]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let want = Tensor::from_vec(want, &[b, c * kh * kw, oh * ow]);
+        assert_same_bits(&got, &want, "im2col");
+    }
+}
