@@ -2,7 +2,12 @@
 //! temporal convolutions interleaved with diffusion graph convolutions,
 //! plus a **self-adaptive adjacency matrix** `softmax(relu(E₁ E₂ᵀ))`
 //! learned end-to-end. All 12 output steps are produced in a single pass —
-//! the reason Table III shows it with the fastest inference.
+//! the reason the paper's Table III shows it with the fastest inference.
+//!
+//! The output reads only the last time position of each layer's skip, so
+//! inference computes just that position's receptive field: 7 of the 25
+//! graph-conv time slices under the default dilations `[1, 2, 4]` on a
+//! 12-step window ([`TimePlan`]). Training computes every position.
 
 use std::cell::RefCell;
 
@@ -75,7 +80,96 @@ pub struct GraphWavenet {
     /// forwards (Table III, `predict`), yet between optimizer steps its
     /// value never changes.
     adaptive_cache: RefCell<Option<(u64, u64, Tensor)>>,
+    /// Every time position of every layer: training, and inference with
+    /// `inference::set_force_off`.
+    full_plan: TimePlan,
+    /// Only the positions that reach the output: inference.
+    pruned_plan: TimePlan,
     cfg: GraphWavenetConfig,
+}
+
+/// Which time positions one forward computes. Layer `l` runs its gated
+/// TCN on `taps.gather` of its input (all of it when `None`) at
+/// `taps.dilation`; output `i` reads input `i` and `i + dilation`, and
+/// the residual is the gathered input from `dilation` on.
+#[derive(Debug, Clone, PartialEq)]
+struct TimePlan {
+    /// Window positions the start conv reads; `None` reads all of them.
+    input: Option<Vec<usize>>,
+    layers: Vec<LayerTaps>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct LayerTaps {
+    /// Positions of the layer's computed input slices, in TCN input order.
+    gather: Option<Vec<usize>>,
+    dilation: usize,
+}
+
+impl TimePlan {
+    /// The dense forward: each layer convolves its whole input at its own
+    /// dilation, so the time axis shrinks by `d` per layer.
+    fn full(dilations: &[usize]) -> Self {
+        let layers = dilations.iter().map(|&d| LayerTaps { gather: None, dilation: d }).collect();
+        TimePlan { input: None, layers }
+    }
+
+    /// Only the positions that reach the output ([`receptive_sets`]). A
+    /// layer that has its whole input and needs its whole output keeps
+    /// the full taps; any other gathers `[B_l, B_l + d]` (as positions
+    /// within `A_l`, the slices it has) and runs at dilation `|B_l|`, so
+    /// output `i` reads exactly the two taps of position `B_l[i]`.
+    fn pruned(t_in: usize, dilations: &[usize]) -> Self {
+        let sets = receptive_sets(t_in, dilations);
+        let input = (sets[0].0.len() < t_in).then(|| sets[0].0.clone());
+        let mut len = t_in;
+        let layers = sets
+            .iter()
+            .zip(dilations)
+            .map(|((a, b), &d)| {
+                let whole = a.len() == len && b.len() == len - d;
+                len -= d;
+                if whole {
+                    return LayerTaps { gather: None, dilation: d };
+                }
+                let local = |p: usize| a.binary_search(&p).expect("tap inside A_l");
+                let idx: Vec<usize> =
+                    b.iter().map(|&p| local(p)).chain(b.iter().map(|&p| local(p + d))).collect();
+                let identity = idx.iter().enumerate().all(|(i, &j)| i == j);
+                LayerTaps { gather: (!identity).then_some(idx), dilation: b.len() }
+            })
+            .collect();
+        TimePlan { input, layers }
+    }
+}
+
+/// The time positions that reach the output, per layer `(A_l, B_l)`, in
+/// positions of that layer's input axis, worked backward from the output.
+/// Layer `l` (dilation `d`) must output `B_l`: the positions layer
+/// `l + 1` reads plus its own last one, which feeds the skip. It reads
+/// `A_l = B_l ∪ (B_l + d)`, and `A_{l+1} = B_l`.
+fn receptive_sets(t_in: usize, dilations: &[usize]) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut lens = vec![t_in];
+    for &d in dilations {
+        let len = *lens.last().expect("non-empty");
+        assert!(len > d, "dilations {dilations:?} consume the {t_in}-step window");
+        lens.push(len - d);
+    }
+    let mut sets = Vec::with_capacity(dilations.len());
+    let mut next: Vec<usize> = Vec::new();
+    for (l, &d) in dilations.iter().enumerate().rev() {
+        let mut b = next;
+        b.push(lens[l + 1] - 1);
+        b.sort_unstable();
+        b.dedup();
+        let mut a: Vec<usize> = b.iter().flat_map(|&p| [p, p + d]).collect();
+        a.sort_unstable();
+        a.dedup();
+        next = a.clone();
+        sets.push((a, b));
+    }
+    sets.reverse();
+    sets
 }
 
 impl GraphWavenet {
@@ -97,9 +191,7 @@ impl GraphWavenet {
         let mut layers = Vec::new();
         for (i, &d) in cfg.dilations.iter().enumerate() {
             // Valid (shrinking) dilated convolution, as in the original:
-            // each layer shortens the time axis by its dilation, so deeper
-            // layers process fewer positions — the source of Graph-WaveNet's
-            // fast single-pass inference.
+            // each layer shortens the time axis by its dilation.
             let tcn = GatedTemporalConv::new(
                 &mut store,
                 &format!("layer{i}.tcn"),
@@ -179,6 +271,8 @@ impl GraphWavenet {
             e1,
             e2,
             adaptive_cache: RefCell::new(None),
+            full_plan: TimePlan::full(&cfg.dilations),
+            pruned_plan: TimePlan::pruned(cfg.t_in, &cfg.dilations),
             cfg,
         }
     }
@@ -238,20 +332,28 @@ impl TrafficModel for GraphWavenet {
         assert_eq!(t, self.cfg.t_in);
         // In inference mode the gradient never flows, so the adjacency is a
         // constant: serve the cached materialization instead of re-recording
-        // its subgraph on every forward. Training (or a no-grad forward that
-        // still wants the graph, e.g. gradcheck outside the trainer) keeps
-        // the tape path.
-        let adaptive: Vec<Var<'t>> = if train.is_none() && inference::active() {
+        // its subgraph on every forward, and compute only the time positions
+        // that reach the output. Training (or a no-grad forward that still
+        // wants the graph, e.g. gradcheck outside the trainer) keeps the tape
+        // path and every position: dropout draws one random per element.
+        let infer = train.is_none() && inference::active();
+        let adaptive: Vec<Var<'t>> = if infer {
             self.cached_adaptive().map(|a| tape.constant(a)).into_iter().collect()
         } else {
             self.adaptive_adjacency(tape).into_iter().collect()
         };
-        let mut h = self.start.forward(tape, to_conv_layout(x)); // [B, R, N, T]
+        let plan = if infer { &self.pruned_plan } else { &self.full_plan };
+        let gather = |v: Var<'t>, idx: &Option<Vec<usize>>| match idx {
+            Some(idx) => v.select_last(idx),
+            None => v,
+        };
+        let mut h = self.start.forward(tape, gather(to_conv_layout(x), &plan.input)); // [B, R, N, T]
         let mut skip_sum: Option<Var<'t>> = None;
-        for layer in &self.layers {
-            let residual = h;
-            let z = layer.tcn.forward(tape, h); // valid: [B, R, N, T - d]
-                                                // Graph conv per (remaining) time slice.
+        for (layer, taps) in self.layers.iter().zip(&plan.layers) {
+            let input = gather(h, &taps.gather);
+            // [B, R, N, |B_l|]: every output position in the full plan.
+            let z = layer.tcn.forward_dilated(tape, input, taps.dilation);
+            // Graph conv per (remaining) time slice.
             let zs = z.shape();
             let (c, tt) = (zs[1], zs[3]);
             let flat = z.permute(&[0, 3, 2, 1]).reshape(&[b * tt, n, c]);
@@ -270,9 +372,8 @@ impl TrafficModel for GraphWavenet {
                 Some(acc) => acc.add(&s),
                 None => s,
             });
-            // Residual: crop the stored input to the shortened time axis.
-            let rt = residual.shape()[3];
-            h = g.add(&residual.narrow(3, rt - tt, tt));
+            // Residual: the second tap of each output position.
+            h = g.add(&input.narrow(3, taps.dilation, tt));
         }
         let skip = skip_sum.expect("at least one layer").relu(); // [B, S, N, 1]
         let out = self.end2.forward(tape, self.end1.forward(tape, skip).relu()); // [B, T_out, N, 1]
@@ -359,19 +460,70 @@ mod tests {
     #[test]
     fn early_history_still_reaches_output() {
         // With dilations [1, 2, 4] the receptive field spans 8 steps, so
-        // perturbing t = 5 must change the output, while t = 0 lies outside
-        // the receptive field of the final position.
+        // perturbing t = 5 must change the output, while t = 0..3 lie
+        // outside the receptive field of the final position: under both
+        // the full plan (no inference region) and the pruned one.
         let (ctx, mut rng) = setup();
         let model = GraphWavenet::new(&ctx, GraphWavenetConfig::default(), &mut rng);
-        let base = Tensor::zeros(&[1, 12, 6, 2]);
-        let run = |input: Tensor| {
-            let tape = Tape::new();
-            model.forward(&tape, tape.constant(input), None).value()
-        };
-        let y0 = run(base.clone());
-        let mut mid = base.clone();
-        mid.make_mut()[5 * 6 * 2] = 3.0; // t = 5, node 0, value feature
-        assert_ne!(run(mid), y0, "step inside the receptive field must matter");
+        let base = init::uniform(&[1, 12, 6, 2], -1.0, 1.0, &mut rng);
+        for pruned in [false, true] {
+            let _inf = pruned.then(inference::InferenceGuard::enter);
+            let run = |input: Tensor| {
+                let tape = Tape::new();
+                model.forward(&tape, tape.constant(input), None).value()
+            };
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let y0 = run(base.clone());
+            for t in 0..12 {
+                let mut x = base.clone();
+                for node in 0..6 {
+                    x.make_mut()[(t * 6 + node) * 2] += 3.0; // value feature
+                }
+                let y = run(x);
+                if t < 4 {
+                    assert_eq!(bits(&y), bits(&y0), "t = {t} is outside the receptive field");
+                } else {
+                    assert_ne!(y, y0, "t = {t} is inside the receptive field (pruned {pruned})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn receptive_plan_of_default_config() {
+        let cfg = GraphWavenetConfig::default();
+        let sets = receptive_sets(cfg.t_in, &cfg.dilations);
+        let want: Vec<(Vec<usize>, Vec<usize>)> = vec![
+            ((4..12).collect(), vec![4, 6, 8, 10]),
+            (vec![4, 6, 8, 10], vec![4, 8]),
+            (vec![4, 8], vec![4]),
+        ];
+        assert_eq!(sets, want);
+        // 4 + 2 + 1 of the 11 + 9 + 5 graph-conv slices the full plan runs.
+        let plan = TimePlan::pruned(cfg.t_in, &cfg.dilations);
+        let taps = |gather: Option<Vec<usize>>, dilation| LayerTaps { gather, dilation };
+        assert_eq!(
+            plan,
+            TimePlan {
+                input: Some((4..12).collect()),
+                layers: vec![
+                    taps(Some(vec![0, 2, 4, 6, 1, 3, 5, 7]), 4),
+                    taps(Some(vec![0, 2, 1, 3]), 2),
+                    // A_2 = {4, 8} already is [xa, xb].
+                    taps(None, 1),
+                ],
+            }
+        );
+        // With a 16-step window and dilations [1, 2, 4, 8] every input
+        // step matters, but layer 0 still needs only 8 of its 15 outputs.
+        let plan = TimePlan::pruned(16, &[1, 2, 4, 8]);
+        assert_eq!(plan.input, None);
+        assert_eq!(plan.layers[0].dilation, 8);
+        // The full plan is today's dense forward.
+        assert_eq!(
+            TimePlan::full(&cfg.dilations),
+            TimePlan { input: None, layers: vec![taps(None, 1), taps(None, 2), taps(None, 4)] }
+        );
     }
 
     #[test]

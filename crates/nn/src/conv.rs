@@ -1,6 +1,7 @@
 //! Convolution layers over `[B, C, N, T]` spatio-temporal tensors.
 
 use rand::Rng;
+use traffic_tensor::conv::im2col;
 use traffic_tensor::{init, Tape, Tensor, Var};
 
 use crate::param::{Param, ParamStore};
@@ -62,19 +63,37 @@ impl Conv2d {
 
     /// Forward pass on `[B, C, N, T]`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let x = match self.padding {
+        let dw = self.dilation.1;
+        let x = self.pad(x, dw);
+        let cols = self.unfold(&x, dw);
+        self.apply(tape, x, cols, dw)
+    }
+
+    /// Pads `x` along time as configured, for temporal dilation `dw`.
+    fn pad<'t>(&self, x: Var<'t>, dw: usize) -> Var<'t> {
+        match self.padding {
             TemporalPadding::Valid => x,
             TemporalPadding::Causal => {
-                let p = (self.kernel.1 - 1) * self.dilation.1;
+                let p = (self.kernel.1 - 1) * dw;
                 x.pad(&[(0, 0), (0, 0), (0, 0), (p, 0)])
             }
             TemporalPadding::Same => {
-                let p = (self.kernel.1 - 1) * self.dilation.1 / 2;
+                let p = (self.kernel.1 - 1) * dw / 2;
                 x.pad(&[(0, 0), (0, 0), (0, 0), (p, p)])
             }
-        };
+        }
+    }
+
+    /// The `im2col` unfold of an already padded input at temporal
+    /// dilation `dw`.
+    fn unfold(&self, x: &Var<'_>, dw: usize) -> Tensor {
+        im2col(&x.value(), self.kernel.0, self.kernel.1, self.dilation.0, dw)
+    }
+
+    /// Convolution plus bias of a padded input `x` whose unfold is `cols`.
+    fn apply<'t>(&self, tape: &'t Tape, x: Var<'t>, cols: Tensor, dw: usize) -> Var<'t> {
         let w = self.weight.var(tape);
-        let y = x.conv2d(&w, self.dilation.0, self.dilation.1);
+        let y = x.conv2d_unfolded(&w, cols, self.dilation.0, dw);
         match &self.bias {
             Some(b) => {
                 // bias broadcast over [B, C, N, T]: reshape to [C, 1, 1]
@@ -135,8 +154,19 @@ impl GatedTemporalConv {
     /// (`Var::gated_tanh_sigmoid`): single-pass forward and backward
     /// instead of three elementwise ops, bit-identical arithmetic.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let f = self.filter.forward(tape, x);
-        let g = self.gate.forward(tape, x);
+        self.forward_dilated(tape, x, self.filter.dilation.1)
+    }
+
+    /// [`GatedTemporalConv::forward`] with the same weights run at
+    /// temporal dilation `dilation`. Filter and gate read one unfold of
+    /// `x`; each still records its own conv node (and, when padded, its
+    /// own pad node), so the input gradient sums the two contributions
+    /// exactly as two independent convs would.
+    pub fn forward_dilated<'t>(&self, tape: &'t Tape, x: Var<'t>, dilation: usize) -> Var<'t> {
+        let (xf, xg) = (self.filter.pad(x, dilation), self.gate.pad(x, dilation));
+        let cols = self.filter.unfold(&xf, dilation);
+        let f = self.filter.apply(tape, xf, cols.clone(), dilation);
+        let g = self.gate.apply(tape, xg, cols, dilation);
         f.gated_tanh_sigmoid(&g)
     }
 }
@@ -237,6 +267,37 @@ mod tests {
         assert_eq!(y.shape(), &[1, 3, 3, 6]);
         // tanh × sigmoid is bounded by (-1, 1)
         assert!(y.as_slice().iter().all(|v| v.abs() < 1.0));
+    }
+
+    #[test]
+    fn gated_conv_shared_unfold_matches_two_convs_bitwise() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for padding in [TemporalPadding::Valid, TemporalPadding::Causal] {
+            let mut store = ParamStore::new();
+            let mut r = rng();
+            let g = GatedTemporalConv::new(&mut store, "g", 3, 3, 2, 2, padding, &mut r);
+            let x = init::uniform(&[2, 3, 5, 9], -1.0, 1.0, &mut r);
+            // Each pass: (output, input gradient, every parameter gradient),
+            // with x also read by a later consumer, as a residual is.
+            let run = |shared: bool| {
+                let tape = Tape::new();
+                let xv = tape.leaf(x.clone(), true);
+                let y = if shared {
+                    g.forward(&tape, xv)
+                } else {
+                    g.filter.forward(&tape, xv).gated_tanh_sigmoid(&g.gate.forward(&tape, xv))
+                };
+                let t = y.shape()[3];
+                let loss = y.add(&xv.narrow(3, 9 - t, t)).powf(2.0).sum_all();
+                let grads = tape.backward(loss);
+                store.zero_grads();
+                store.capture_grads(&tape, &grads);
+                let mut out = vec![bits(&y.value()), bits(grads.get(xv).unwrap())];
+                out.extend(store.params().iter().map(|p| bits(&p.grad().unwrap())));
+                out
+            };
+            assert_eq!(run(true), run(false), "{padding:?}");
+        }
     }
 
     #[test]

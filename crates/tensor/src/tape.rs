@@ -821,16 +821,38 @@ impl<'t> Var<'t> {
         })
     }
 
+    /// Gathers positions of the last axis (`out[.., i] =
+    /// self[.., indices[i]]`); backward scatter-adds the gradient back to
+    /// those positions. One node however the indices are arranged.
+    pub fn select_last(&self, indices: &[usize]) -> Var<'t> {
+        let x = self.value();
+        let len = x.shape()[x.rank() - 1];
+        let y = x.select_last(indices);
+        let idx = indices.to_vec();
+        self.tape.unary("select_last", self, y, move |g| g.scatter_add_last(&idx, len))
+    }
+
     /// Stride-1 dilated conv2d: `self` `[B, C, H, W]`, `weight`
     /// `[O, C, KH, KW]` → `[B, O, OH, OW]`.
     pub fn conv2d(&self, weight: &Var<'t>, dh: usize, dw: usize) -> Var<'t> {
+        let ws = weight.shape();
+        let cols = im2col(&self.value(), ws[2], ws[3], dh, dw);
+        self.conv2d_unfolded(weight, cols, dh, dw)
+    }
+
+    /// [`Var::conv2d`] given `cols = im2col(self, KH, KW, dh, dw)`, so
+    /// convolutions of one input at one geometry unfold it once. Each
+    /// call still records its own node, with the backward of a separate
+    /// conv (its own `col2im` for the input gradient), so sharing the
+    /// unfold changes no bit, forward or backward.
+    pub fn conv2d_unfolded(&self, weight: &Var<'t>, cols: Tensor, dh: usize, dw: usize) -> Var<'t> {
         let x = self.value();
         let w = weight.value();
         let (b, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let (o, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
         let oh = conv_out_len(h, kh, dh);
         let ow = conv_out_len(wd, kw, dw);
-        let cols = im2col(&x, kh, kw, dh, dw); // [B, CKK, L]
+        assert_eq!(cols.shape(), &[b, c * kh * kw, oh * ow], "conv2d_unfolded: cols shape");
         let wmat = w.reshape(&[o, c * kh * kw]);
         let y = wmat.matmul(&cols).reshape(&[b, o, oh, ow]);
         let w_shape = w.shape().to_vec();
@@ -967,6 +989,18 @@ mod tests {
         let g = tape.backward(loss);
         assert!(g.get(a).unwrap().as_slice().iter().all(|&v| v == 0.0));
         assert!(g.get(b).unwrap().as_slice().iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn select_last_backward_scatter_adds() {
+        let tape = Tape::new();
+        let a = tape.leaf(Tensor::arange(2 * 4).reshape(&[2, 4]), true);
+        let s = a.select_last(&[3, 1, 3]);
+        assert_eq!(s.value().as_slice(), &[3.0, 1.0, 3.0, 7.0, 5.0, 7.0]);
+        let w = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 4.0], &[3]));
+        let g = tape.backward(s.mul(&w).sum_all());
+        // Position 3 is read twice, 0 and 2 never.
+        assert_eq!(g.get(a).unwrap().as_slice(), &[0.0, 2.0, 0.0, 5.0, 0.0, 2.0, 0.0, 5.0]);
     }
 
     #[test]

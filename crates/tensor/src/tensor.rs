@@ -1204,6 +1204,56 @@ impl Tensor {
         Tensor::from_vec(out, &shape)
     }
 
+    /// Gathers positions of the last axis: `out[.., i] = self[.., indices[i]]`.
+    /// Indices may repeat or come in any order; each maximal run of
+    /// consecutive indices is one strided copy over the leading rows.
+    pub fn select_last(&self, indices: &[usize]) -> Tensor {
+        assert!(self.rank() >= 1, "select_last requires rank >= 1");
+        let w = self.shape[self.rank() - 1];
+        let rows = numel(&self.shape[..self.rank() - 1]);
+        let m = indices.len();
+        let mut prof = traffic_obs::profile::op("elem", "select_last");
+        prof.set_bytes(rows * m * 8);
+        // The runs partition `0..m`, so every output slot is written once.
+        let mut out = mem::take_uninit(rows * m);
+        let mut i = 0;
+        while i < m {
+            let start = indices[i];
+            assert!(start < w, "index {start} out of bounds for last axis size {w}");
+            let mut run = 1;
+            while i + run < m && indices[i + run] == start + run && start + run < w {
+                run += 1;
+            }
+            copy_runs(&mut out, i, m, &self.data, start, w, run, rows);
+            i += run;
+        }
+        let mut shape = self.shape.clone();
+        *shape.last_mut().expect("rank >= 1") = m;
+        Tensor::from_vec(out, &shape)
+    }
+
+    /// Adjoint of [`Tensor::select_last`]: a zero tensor whose last axis
+    /// has `len` positions, with `self[.., i]` added into position
+    /// `indices[i]` (repeated indices accumulate in order).
+    pub fn scatter_add_last(&self, indices: &[usize], len: usize) -> Tensor {
+        assert!(self.rank() >= 1, "scatter_add_last requires rank >= 1");
+        let m = self.shape[self.rank() - 1];
+        assert_eq!(m, indices.len(), "scatter_add_last: {m} positions, {} indices", indices.len());
+        let rows = numel(&self.shape[..self.rank() - 1]);
+        let mut prof = traffic_obs::profile::op("elem", "scatter_add_last");
+        prof.set_bytes(rows * (m + len) * 4);
+        let mut out = mem::take_zeroed(rows * len);
+        for r in 0..rows {
+            let (dst, src) = (&mut out[r * len..(r + 1) * len], &self.data[r * m..(r + 1) * m]);
+            for (&j, &v) in indices.iter().zip(src) {
+                dst[j] += v;
+            }
+        }
+        let mut shape = self.shape.clone();
+        *shape.last_mut().expect("rank >= 1") = len;
+        Tensor::from_vec(out, &shape)
+    }
+
     // ------------------------------------------------------------------
     // Whole-tensor statistics (used heavily by data prep / metrics)
     // ------------------------------------------------------------------
@@ -1335,6 +1385,25 @@ mod tests {
         let s = a.index_select0(&[2, 0, 2]);
         assert_eq!(s.shape(), &[3, 2]);
         assert_eq!(s.as_slice(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn select_last_gathers_runs_and_scatter_adds_back() {
+        let a = Tensor::arange(2 * 3 * 5).reshape(&[2, 3, 5]);
+        // Runs {1, 2, 3}, {0} and a repeat of 3.
+        let idx = [1, 2, 3, 0, 3];
+        let s = a.select_last(&idx);
+        assert_eq!(s.shape(), &[2, 3, 5]);
+        for r in 0..6 {
+            for (i, &j) in idx.iter().enumerate() {
+                assert_eq!(s.as_slice()[r * 5 + i], a.as_slice()[r * 5 + j]);
+            }
+        }
+        let g = Tensor::ones(&[2, 3, 5]);
+        let back = g.scatter_add_last(&idx, 5);
+        assert_eq!(&back.as_slice()[..5], &[1.0, 1.0, 1.0, 2.0, 0.0]);
+        // Contiguous indices are a narrow.
+        assert_eq!(a.select_last(&[2, 3, 4]), a.narrow(2, 2, 3));
     }
 
     #[test]

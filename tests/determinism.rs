@@ -147,6 +147,52 @@ fn predictions_identical_with_constant_and_grad_parameter_binding() {
     }
 }
 
+/// Graph-WaveNet inside an inference region computes only the time
+/// positions that reach its output; with the inference shortcuts forced
+/// off it computes every position. The predictions must agree bit for
+/// bit, including configs whose dead positions sit only inside the stack.
+#[test]
+fn graph_wavenet_pruned_forward_matches_full_forward_bitwise() {
+    use traffic_suite::graph::freeway_corridor;
+    use traffic_suite::models::{GraphWavenet, GraphWavenetConfig, TrafficModel};
+    use traffic_suite::tensor::{init, Tape};
+
+    let _guard = knob_lock();
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(19);
+    let ctx = GraphContext::from_network(&freeway_corridor(7, 1.0, &mut rng), 4);
+    let configs = [
+        GraphWavenetConfig::default(),
+        GraphWavenetConfig { use_adaptive: false, ..Default::default() },
+        GraphWavenetConfig { dilations: vec![1, 2], ..Default::default() },
+        GraphWavenetConfig { dilations: vec![2, 2, 1], ..Default::default() },
+        // Receptive field 16 = t_in: every input step is live, inner
+        // positions are not.
+        GraphWavenetConfig { dilations: vec![1, 2, 4, 8], t_in: 16, ..Default::default() },
+    ];
+    for cfg in configs {
+        let model = GraphWavenet::new(&ctx, cfg.clone(), &mut rng);
+        // Non-zero biases and weights away from their init.
+        for p in model.store().params() {
+            p.set_value(init::uniform(&p.shape(), -0.5, 0.5, &mut rng));
+        }
+        for batch in [1, 5] {
+            let x = init::uniform(&[batch, cfg.t_in, ctx.n, cfg.in_features], -2.0, 2.0, &mut rng);
+            let bits = || -> Vec<u32> {
+                let _inf = inference::InferenceGuard::enter();
+                let tape = Tape::new();
+                let y = model.forward(&tape, tape.constant(x.clone()), None).value();
+                assert_eq!(y.shape(), &[batch, cfg.t_out, ctx.n]);
+                y.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            let pruned = bits();
+            inference::set_force_off(true);
+            let full = bits();
+            inference::set_force_off(false);
+            assert_eq!(pruned, full, "{cfg:?} batch {batch}: pruned forward changed the bits");
+        }
+    }
+}
+
 #[test]
 fn stgcn_losses_identical_with_simd_on_and_off() {
     let _guard = knob_lock();
