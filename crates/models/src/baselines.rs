@@ -138,7 +138,8 @@ impl TrafficModel for HistoricalAverage {
         // Recover each sample's time-of-day from the (min-max normalised)
         // feature, then look up the profile for the target steps.
         let xv = x.value();
-        let mut out = vec![0.0f32; b * self.t_out * n];
+        let mut result = Tensor::zeros(&[b, self.t_out, n]);
+        let out = result.make_mut();
         for bi in 0..b {
             // tod of last input step at node 0
             let tod = xv.at(&[bi, t_in - 1, 0, 1]);
@@ -150,7 +151,7 @@ impl TrafficModel for HistoricalAverage {
                 }
             }
         }
-        tape.constant(Tensor::from_vec(out, &[b, self.t_out, n]))
+        tape.constant(result)
     }
 }
 

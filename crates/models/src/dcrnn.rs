@@ -96,6 +96,25 @@ impl DcGruCell {
     }
 }
 
+/// One time step through stacked cells: `inp` feeds layer 0, each
+/// layer's new state feeds the next. Returns the new states.
+fn step_stack<'t>(
+    cells: &[DcGruCell],
+    tape: &'t Tape,
+    inp: Var<'t>,
+    hs: &[Var<'t>],
+) -> Vec<Var<'t>> {
+    let mut inp = inp;
+    cells
+        .iter()
+        .zip(hs)
+        .map(|(cell, &h)| {
+            inp = cell.step(tape, inp, h);
+            inp
+        })
+        .collect()
+}
+
 /// The DCRNN model.
 pub struct Dcrnn {
     store: ParamStore,
@@ -166,41 +185,51 @@ impl TrafficModel for Dcrnn {
         let shape = x.shape();
         let (b, t_in, n, _c) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(t_in, self.cfg.t_in);
-        // Encode through the stacked layers.
-        let mut enc_h: Vec<Var<'t>> = (0..self.cfg.num_layers)
-            .map(|_| tape.constant(Tensor::zeros(&[b, n, self.cfg.hidden])))
-            .collect();
+        // Each encoder and decoder time step is one `Tape::scoped` step:
+        // inside an inference region only its new states cross back to
+        // `tape`, and its gate and candidate intermediates are freed before
+        // the next step. A step's inputs are `[x or the decoder input, h_0,
+        // .., h_{L-1}]`. Encode through the stacked layers.
+        let mut enc = vec![x];
+        enc.extend(
+            (0..self.cfg.num_layers)
+                .map(|_| tape.constant(Tensor::zeros(&[b, n, self.cfg.hidden]))),
+        );
         for t in 0..t_in {
-            let mut inp = x.narrow(1, t, 1).reshape(&[b, n, self.cfg.in_features]);
-            for (l, cell) in self.encoder.iter().enumerate() {
-                enc_h[l] = cell.step(tape, inp, enc_h[l]);
-                inp = enc_h[l];
-            }
+            let h = tape.scoped(&enc, |tape, v| {
+                let inp = v[0].narrow(1, t, 1).reshape(&[b, n, self.cfg.in_features]);
+                step_stack(&self.encoder, tape, inp, &v[1..])
+            });
+            enc.truncate(1);
+            enc.extend(h);
         }
         // Decode autoregressively from a GO (zero) symbol; decoder layers
-        // start from the encoder's final states.
-        let mut dec_h = enc_h;
-        let mut dec_in = tape.constant(Tensor::zeros(&[b, n, 1]));
+        // start from the encoder's final states. The step's prediction is
+        // its last output.
+        let mut dec = enc;
+        dec[0] = tape.constant(Tensor::zeros(&[b, n, 1]));
         let mut outs = Vec::with_capacity(self.cfg.t_out);
         for t in 0..self.cfg.t_out {
-            let mut inp = dec_in;
-            for (l, cell) in self.decoder.iter().enumerate() {
-                dec_h[l] = cell.step(tape, inp, dec_h[l]);
-                inp = dec_h[l];
-            }
-            let y = self.proj.forward(tape, inp); // [B, N, 1]
+            let mut step = tape.scoped(&dec, |tape, v| {
+                let mut h = step_stack(&self.decoder, tape, v[0], &v[1..]);
+                let y = self.proj.forward(tape, *h.last().expect("at least one layer"));
+                h.push(y); // [B, N, 1]
+                h
+            });
+            let y = step.pop().expect("prediction");
             outs.push(y.reshape(&[b, 1, n]));
             // Scheduled sampling: with probability teacher_prob feed the
             // ground truth, else the model's own prediction.
             let use_teacher = train.as_deref_mut().is_some_and(|ctx| {
                 ctx.teacher.is_some() && ctx.rng.gen::<f32>() < ctx.teacher_prob
             });
-            dec_in = if use_teacher {
+            let dec_in = if use_teacher {
                 let teach = train.as_deref().and_then(|c| c.teacher).expect("checked above");
                 tape.constant(teach.narrow(1, t, 1).reshape(&[b, n, 1]))
             } else {
                 y
             };
+            dec = std::iter::once(dec_in).chain(step).collect();
         }
         Var::concat(&outs, 1)
     }

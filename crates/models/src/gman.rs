@@ -164,15 +164,15 @@ impl Gman {
     fn temporal_embedding<'t>(&self, tape: &'t Tape, tod: &Tensor) -> Var<'t> {
         let (b, t) = (tod.shape()[0], tod.shape()[1]);
         let k = TE_FREQUENCIES.len();
-        let mut enc = Vec::with_capacity(b * t * 2 * k);
-        for &v in tod.as_slice() {
-            for &f in &TE_FREQUENCIES {
+        let mut enc = Tensor::zeros(&[b, t, 2 * k]);
+        for (&v, row) in tod.as_slice().iter().zip(enc.make_mut().chunks_exact_mut(2 * k)) {
+            for (&f, pair) in TE_FREQUENCIES.iter().zip(row.chunks_exact_mut(2)) {
                 let phase = v * f * std::f32::consts::TAU;
-                enc.push(phase.sin());
-                enc.push(phase.cos());
+                pair[0] = phase.sin();
+                pair[1] = phase.cos();
             }
         }
-        let enc = tape.constant(Tensor::from_vec(enc, &[b, t, 2 * k]));
+        let enc = tape.constant(enc);
         let h = self.te_proj1.forward(tape, enc).relu();
         self.te_proj2.forward(tape, h).reshape(&[b, t, 1, self.cfg.d])
     }
@@ -183,21 +183,23 @@ impl Gman {
         let (b, t_in) = (x.shape()[0], x.shape()[1]);
         let n = x.shape()[2];
         let c = x.shape()[3];
-        let mut hist = Vec::with_capacity(b * t_in);
-        for bi in 0..b {
-            for t in 0..t_in {
-                hist.push(x.as_slice()[((bi * t_in + t) * n) * c + 1]);
-            }
+        let mut hist = Tensor::zeros(&[b, t_in]);
+        for (i, h) in hist.make_mut().iter_mut().enumerate() {
+            *h = x.as_slice()[i * n * c + 1]; // i = bi * t_in + t
         }
-        let mut fut = Vec::with_capacity(b * self.cfg.t_out);
-        for bi in 0..b {
-            let mut cur = hist[bi * t_in + t_in - 1];
-            for _ in 0..self.cfg.t_out {
+        let mut fut = Tensor::zeros(&[b, self.cfg.t_out]);
+        for (row, last) in fut
+            .make_mut()
+            .chunks_exact_mut(self.cfg.t_out)
+            .zip(hist.as_slice().chunks_exact(t_in).map(|h| h[t_in - 1]))
+        {
+            let mut cur = last;
+            for f in row {
                 cur = advance_time_of_day(cur);
-                fut.push(cur);
+                *f = cur;
             }
         }
-        (Tensor::from_vec(hist, &[b, t_in]), Tensor::from_vec(fut, &[b, self.cfg.t_out]))
+        (hist, fut)
     }
 }
 

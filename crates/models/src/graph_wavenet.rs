@@ -143,6 +143,14 @@ impl TimePlan {
     }
 }
 
+/// The time positions `idx` of `v` (all of them when `None`).
+fn gather<'t>(v: Var<'t>, idx: &Option<Vec<usize>>) -> Var<'t> {
+    match idx {
+        Some(idx) => v.select_last(idx),
+        None => v,
+    }
+}
+
 /// The time positions that reach the output, per layer `(A_l, B_l)`, in
 /// positions of that layer's input axis, worked backward from the output.
 /// Layer `l` (dilation `d`) must output `B_l`: the positions layer
@@ -343,39 +351,41 @@ impl TrafficModel for GraphWavenet {
             self.adaptive_adjacency(tape).into_iter().collect()
         };
         let plan = if infer { &self.pruned_plan } else { &self.full_plan };
-        let gather = |v: Var<'t>, idx: &Option<Vec<usize>>| match idx {
-            Some(idx) => v.select_last(idx),
-            None => v,
-        };
-        let mut h = self.start.forward(tape, gather(to_conv_layout(x), &plan.input)); // [B, R, N, T]
-        let mut skip_sum: Option<Var<'t>> = None;
+        // [B, R, N, T], then `[h, skip sum]` after the first layer.
+        let mut state = vec![self.start.forward(tape, gather(to_conv_layout(x), &plan.input))];
         for (layer, taps) in self.layers.iter().zip(&plan.layers) {
-            let input = gather(h, &taps.gather);
-            // [B, R, N, |B_l|]: every output position in the full plan.
-            let z = layer.tcn.forward_dilated(tape, input, taps.dilation);
-            // Graph conv per (remaining) time slice.
-            let zs = z.shape();
-            let (c, tt) = (zs[1], zs[3]);
-            let flat = z.permute(&[0, 3, 2, 1]).reshape(&[b * tt, n, c]);
-            let g = layer.gconv.forward_with(tape, flat, &adaptive);
-            let mut g = g.reshape(&[b, tt, n, c]).permute(&[0, 3, 2, 1]);
-            if let Some(ctx) = train.as_deref_mut() {
-                if self.cfg.dropout > 0.0 {
-                    use rand::Rng;
-                    let rng = &mut *ctx.rng;
-                    g = g.dropout(self.cfg.dropout, true, || rng.gen::<f32>());
+            // One `Tape::scoped` step per layer: inside an inference region
+            // only `[h, skip sum]` crosses back to `tape`, and the layer's
+            // TCN and diffusion intermediates are freed before the next.
+            let has_skip = state.len() == 2;
+            let inputs: Vec<Var<'t>> = state.iter().chain(&adaptive).copied().collect();
+            let train = train.as_deref_mut();
+            state = tape.scoped(&inputs, |tape, v| {
+                let (h, adaptive) = (v[0], &v[1 + usize::from(has_skip)..]);
+                let input = gather(h, &taps.gather);
+                // [B, R, N, |B_l|]: every output position in the full plan.
+                let z = layer.tcn.forward_dilated(tape, input, taps.dilation);
+                // Graph conv per (remaining) time slice.
+                let zs = z.shape();
+                let (c, tt) = (zs[1], zs[3]);
+                let flat = z.permute(&[0, 3, 2, 1]).reshape(&[b * tt, n, c]);
+                let g = layer.gconv.forward_with(tape, flat, adaptive);
+                let mut g = g.reshape(&[b, tt, n, c]).permute(&[0, 3, 2, 1]);
+                if let Some(ctx) = train {
+                    if self.cfg.dropout > 0.0 {
+                        use rand::Rng;
+                        let rng = &mut *ctx.rng;
+                        g = g.dropout(self.cfg.dropout, true, || rng.gen::<f32>());
+                    }
                 }
-            }
-            // Skip connection reads only the final position of this layer.
-            let s = layer.skip_conv.forward(tape, g.narrow(3, tt - 1, 1)); // [B, S, N, 1]
-            skip_sum = Some(match skip_sum {
-                Some(acc) => acc.add(&s),
-                None => s,
+                // Skip connection reads only the final position of this layer.
+                let s = layer.skip_conv.forward(tape, g.narrow(3, tt - 1, 1)); // [B, S, N, 1]
+                let skip = if has_skip { v[1].add(&s) } else { s };
+                // Residual: the second tap of each output position.
+                vec![g.add(&input.narrow(3, taps.dilation, tt)), skip]
             });
-            // Residual: the second tap of each output position.
-            h = g.add(&input.narrow(3, taps.dilation, tt));
         }
-        let skip = skip_sum.expect("at least one layer").relu(); // [B, S, N, 1]
+        let skip = state.get(1).expect("at least one layer").relu(); // [B, S, N, 1]
         let out = self.end2.forward(tape, self.end1.forward(tape, skip).relu()); // [B, T_out, N, 1]
         out.reshape(&[b, self.cfg.t_out, n])
     }

@@ -263,15 +263,25 @@ impl TrafficModel for Stgcn {
         // Time-of-day of the window's last step: [B, 1, N, 1], which is
         // also the conv layout of one channel at one time step.
         let mut tod = x.value().narrow(1, t - 1, 1).narrow(3, 1, 1);
-        let mut tails = Tails::new();
-        let mut pred = self.pass(tape, to_conv_layout(x), Some(&mut tails));
+        // One `Tape::scoped` step per pass: `[pass input, tails..]` in,
+        // `[prediction, tails..]` out, so inside an inference region a
+        // step's layer intermediates are freed before the next step.
+        let mut carry = vec![to_conv_layout(x)];
         let mut steps = Vec::with_capacity(self.cfg.t_out);
-        steps.push(pred.reshape(&[b, 1, n]));
-        for _ in 1..self.cfg.t_out {
-            tod = tod.map(advance_time_of_day);
-            let column = Var::concat(&[pred.reshape(&[b, 1, n, 1]), tape.constant(tod.clone())], 1);
-            pred = self.pass(tape, column, Some(&mut tails));
+        loop {
+            let mut out = tape.scoped(&carry, |tape, v| {
+                let mut tails: Tails<'_> = v[1..].to_vec();
+                let pred = self.pass(tape, v[0], Some(&mut tails));
+                std::iter::once(pred).chain(tails).collect()
+            });
+            let pred = out[0];
             steps.push(pred.reshape(&[b, 1, n]));
+            if steps.len() == self.cfg.t_out {
+                break;
+            }
+            tod = tod.map(advance_time_of_day);
+            out[0] = Var::concat(&[pred.reshape(&[b, 1, n, 1]), tape.constant(tod.clone())], 1);
+            carry = out;
         }
         Var::concat(&steps, 1)
     }

@@ -168,12 +168,18 @@ impl TrafficModel for StMetaNet {
         let (enc_scale, enc_bias) = self.film(tape, &self.meta_enc);
         let (dec_scale, dec_bias) = self.film(tape, &self.meta_dec);
         // ---- encoder: shared GRU over [B·N, C], FiLM per node ----
+        // Each encoder and decoder time step is one `Tape::scoped` step:
+        // inside an inference region only its new state (and prediction)
+        // crosses back to `tape`, and the step's GRU and meta-GAT
+        // intermediates are freed before the next step.
         let mut h = tape.constant(Tensor::zeros(&[b * n, h_dim]));
         for t in 0..t_in {
-            let xt = x.narrow(1, t, 1).reshape(&[b * n, c]);
-            h = self.encoder.step(tape, xt, h);
-            let hb = h.reshape(&[b, n, h_dim]);
-            h = Self::modulate(hb, &enc_scale, &enc_bias).reshape(&[b * n, h_dim]);
+            h = tape.scoped(&[x, h, enc_scale, enc_bias], |tape, v| {
+                let xt = v[0].narrow(1, t, 1).reshape(&[b * n, c]);
+                let h = self.encoder.step(tape, xt, v[1]);
+                let hb = h.reshape(&[b, n, h_dim]);
+                vec![Self::modulate(hb, &v[2], &v[3]).reshape(&[b * n, h_dim])]
+            })[0];
         }
         // ---- meta-GAT spatial mixing ----
         let hb = h.reshape(&[b, n, h_dim]);
@@ -185,14 +191,18 @@ impl TrafficModel for StMetaNet {
         let mut dec_in = tape.constant(Tensor::zeros(&[b * n, 1]));
         let mut outs = Vec::with_capacity(self.cfg.t_out);
         for t in 0..self.cfg.t_out {
-            hd = self.decoder.step(tape, dec_in, hd);
-            let hdb = hd.reshape(&[b, n, h_dim]);
-            // Spatial mixing through the meta-GAT every decode step keeps
-            // the forecast anchored to static neighbourhood knowledge.
-            let sp = self.gat.forward(tape, hdb);
-            let hdb = self.gat_proj.forward(tape, sp).relu().add(&hdb);
-            hd = Self::modulate(hdb, &dec_scale, &dec_bias).reshape(&[b * n, h_dim]);
-            let y = self.proj.forward(tape, hd); // [B·N, 1]
+            let step = tape.scoped(&[dec_in, hd, dec_scale, dec_bias], |tape, v| {
+                let hd = self.decoder.step(tape, v[0], v[1]);
+                let hdb = hd.reshape(&[b, n, h_dim]);
+                // Spatial mixing through the meta-GAT every decode step keeps
+                // the forecast anchored to static neighbourhood knowledge.
+                let sp = self.gat.forward(tape, hdb);
+                let hdb = self.gat_proj.forward(tape, sp).relu().add(&hdb);
+                let hd = Self::modulate(hdb, &v[2], &v[3]).reshape(&[b * n, h_dim]);
+                vec![hd, self.proj.forward(tape, hd)] // y: [B·N, 1]
+            });
+            hd = step[0];
+            let y = step[1];
             outs.push(y.reshape(&[b, 1, n]));
             let use_teacher = train.as_deref_mut().is_some_and(|ctx| {
                 ctx.teacher.is_some() && ctx.rng.gen::<f32>() < ctx.teacher_prob

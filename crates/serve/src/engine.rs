@@ -132,17 +132,18 @@ impl Processor {
         let snap = &self.model.snap;
         let (n, t_in) = (snap.n, snap.t_in);
         let steps = traffic_models::STEPS_PER_DAY as f32;
-        let mut x = Vec::with_capacity(jobs.len() * t_in * n * 2);
-        for job in jobs {
-            for t in 0..t_in {
+        // A pooled buffer: at batch 32 and 207 nodes the input is 636 KB.
+        let mut x = Tensor::zeros(&[jobs.len(), t_in, n, 2]);
+        for (job, window) in jobs.iter().zip(x.make_mut().chunks_exact_mut(t_in * n * 2)) {
+            for (t, row) in window.chunks_exact_mut(n * 2).enumerate() {
                 let tod = (job.req.tod + t as f32 / steps).fract();
-                for i in 0..n {
-                    x.push((job.req.window[t * n + i] - snap.mean) / snap.std);
-                    x.push(tod);
+                for (cell, &v) in row.chunks_exact_mut(2).zip(&job.req.window[t * n..]) {
+                    cell[0] = (v - snap.mean) / snap.std;
+                    cell[1] = tod;
                 }
             }
         }
-        Tensor::from_vec(x, &[jobs.len(), t_in, n, 2])
+        x
     }
 
     /// Runs one batch to completion: every job gets exactly one

@@ -285,15 +285,15 @@ impl LoadedModel {
     /// wrong output shapes, and non-finite outputs.
     fn canary(&self) -> Result<(), CheckpointError> {
         let (t_in, t_out, n) = (self.snap.t_in, self.snap.t_out, self.snap.n);
-        let mut x = vec![0.0f32; t_in * n * 2];
+        let mut x = Tensor::zeros(&[1, t_in, n, 2]);
+        let buf = x.make_mut();
         for t in 0..t_in {
             for i in 0..n {
                 // Mid-scale values + advancing time-of-day channel.
-                x[(t * n + i) * 2] = 0.1 * (i as f32 % 7.0 - 3.0);
-                x[(t * n + i) * 2 + 1] = t as f32 / traffic_models::STEPS_PER_DAY as f32;
+                buf[(t * n + i) * 2] = 0.1 * (i as f32 % 7.0 - 3.0);
+                buf[(t * n + i) * 2 + 1] = t as f32 / traffic_models::STEPS_PER_DAY as f32;
             }
         }
-        let x = Tensor::from_vec(x, &[1, t_in, n, 2]);
         let mut tape = Tape::new();
         let out = catch_unwind(AssertUnwindSafe(|| self.forward_batch(&mut tape, x)))
             .map_err(|_| CheckpointError::Corrupt("canary forward panicked".into()))?;

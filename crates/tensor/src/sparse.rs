@@ -157,7 +157,9 @@ impl CsrMatrix {
         );
         out_shape[x.rank() - 2] = self.rows;
         let start = Instant::now();
-        let mut out = vec![0.0f32; nbatch * self.rows * f];
+        // From the pool: at 207 nodes the output sits above the mmap
+        // threshold, so a fresh `vec!` page-faults on every call.
+        let mut out = crate::mem::take_zeroed(nbatch * self.rows * f);
         let xd = x.as_slice();
         let flops_per_batch = 2 * self.nnz() * f;
         let mut prof = traffic_obs::profile::op("spmm", "csr");

@@ -16,12 +16,17 @@
 //! node, and the sweep accumulates diamonds in place with
 //! [`Tensor::add_assign`]. A tape is reusable across mini-batches via
 //! [`Tape::reset`], which keeps the node list's capacity.
+//!
+//! Inside an inference region, [`Tape::scoped`] runs one recurrent step
+//! or one layer on a child tape and keeps only its outputs, so a forward
+//! holds the live set of one step instead of every intermediate.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::conv::{col2im, conv_out_len, im2col};
+use crate::inference;
 use crate::tensor::Tensor;
 
 static TAPE_IDS: AtomicU64 = AtomicU64::new(1);
@@ -29,6 +34,12 @@ static TAPE_IDS: AtomicU64 = AtomicU64::new(1);
 /// Largest node count any tape reached (published as the
 /// `mem/tape_peak_nodes` gauge at each backward pass).
 static PEAK_NODES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The emptied node list of this thread's last scoped child tape,
+    /// kept for the next one so a step does not regrow it from nothing.
+    static SPARE_NODES: Cell<Vec<Node>> = const { Cell::new(Vec::new()) };
+}
 
 fn peak_nodes_gauge() -> &'static traffic_obs::Gauge {
     static GAUGE: OnceLock<&'static traffic_obs::Gauge> = OnceLock::new();
@@ -179,6 +190,60 @@ impl Tape {
         self.nodes.borrow()[id].requires_grad
     }
 
+    /// Runs `f` on `inputs` and returns its outputs as `Var`s of this
+    /// tape: one recurrent step or one layer of a forward.
+    ///
+    /// Outside an inference region, or when an input needs a gradient,
+    /// `f` records on `self` and the inputs and outputs pass through
+    /// untouched, so the tape, its gradients and its node count are
+    /// exactly those of calling `f(self, inputs)`. Inside one, `f`
+    /// records on a child tape: the inputs enter it as constants sharing
+    /// their buffers, the outputs come back as constants of `self`, and
+    /// every other node of the child is dropped, its buffer recycled into
+    /// the pool, before `scoped` returns. Both modes run the same ops on
+    /// the same input values, so the outputs are bit-identical.
+    ///
+    /// The `for<'s>` bound keeps `f` from using a `Var` of `self` that it
+    /// captured: nothing relates `'s` to this tape's lifetime.
+    pub fn scoped<'p>(
+        &'p self,
+        inputs: &[Var<'p>],
+        f: impl for<'s> FnOnce(&'s Tape, &[Var<'s>]) -> Vec<Var<'s>>,
+    ) -> Vec<Var<'p>> {
+        if !inference::active() || inputs.iter().any(Var::requires_grad) {
+            return f(self, inputs);
+        }
+        let child = Tape {
+            id: TAPE_IDS.fetch_add(1, Ordering::Relaxed),
+            nodes: RefCell::new(SPARE_NODES.take()),
+        };
+        let outputs = {
+            let inner: Vec<Var<'_>> = inputs.iter().map(|v| child.constant(v.value())).collect();
+            let outputs = f(&child, &inner);
+            outputs
+                .iter()
+                .map(|v| {
+                    debug_assert!(!v.requires_grad(), "a scoped output needs a gradient");
+                    self.constant(v.value())
+                })
+                .collect()
+        };
+        let mut nodes = child.nodes.into_inner();
+        nodes.clear(); // drops the step's intermediates
+        SPARE_NODES.set(nodes);
+        outputs
+    }
+
+    /// Debug check that every operand of an op lives on this tape.
+    /// `Var` is covariant in its tape's lifetime, so `Var`s of two tapes
+    /// can meet in one op, which would read the wrong node ids.
+    fn check_operands<'v, 'w: 'v>(&self, operands: impl IntoIterator<Item = &'v Var<'w>>) {
+        debug_assert!(
+            operands.into_iter().all(|v| std::ptr::eq(v.tape, self)),
+            "an operand of this op belongs to another tape"
+        );
+    }
+
     pub(crate) fn unary(
         &self,
         op: &'static str,
@@ -186,6 +251,7 @@ impl Tape {
         value: Tensor,
         back: impl Fn(&Tensor) -> Tensor + 'static,
     ) -> Var<'_> {
+        self.check_operands([parent]);
         let rg = self.requires_grad(parent.id);
         let node = Node {
             op,
@@ -205,6 +271,7 @@ impl Tape {
         value: Tensor,
         back: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
     ) -> Var<'_> {
+        self.check_operands([a, b]);
         let rg = self.requires_grad(a.id) || self.requires_grad(b.id);
         let node = Node {
             op,
@@ -521,6 +588,7 @@ impl<'t> Var<'t> {
     pub fn gated_tanh_sigmoid(&self, gate: &Var<'t>) -> Var<'t> {
         let (f, gv) = (self.value(), gate.value());
         if !self.requires_grad() && !gate.requires_grad() {
+            self.tape.check_operands([self, gate]);
             let out = Tensor::gated_tanh_sigmoid_value(&f, &gv);
             return self.tape.record(
                 "gated_tanh_sigmoid",
@@ -696,6 +764,7 @@ impl<'t> Var<'t> {
     pub fn concat(parts: &[Var<'t>], axis: usize) -> Var<'t> {
         assert!(!parts.is_empty(), "concat of zero vars");
         let tape = parts[0].tape;
+        tape.check_operands(parts);
         let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
         let refs: Vec<&Tensor> = values.iter().collect();
         let y = Tensor::concat(&refs, axis);
@@ -767,6 +836,7 @@ impl<'t> Var<'t> {
     /// The `[.., Lq, Lk]` probabilities are kept only when a gradient
     /// flows; otherwise the scores never exist beyond one cached tile.
     pub fn attention(&self, k: &Var<'t>, v: &Var<'t>, scale: f32) -> Var<'t> {
+        self.tape.check_operands([self, k, v]);
         let rg = self.requires_grad() || k.requires_grad() || v.requires_grad();
         let (qv, kv, vv) = (self.value(), k.value(), v.value());
         let (y, p) = Tensor::attention(&qv, &kv, &vv, scale, rg);
@@ -792,10 +862,10 @@ impl<'t> Var<'t> {
         let mut uniform = uniform;
         let scale = 1.0 / (1.0 - p);
         let x = self.value();
-        let mask = Tensor::from_vec(
-            (0..x.len()).map(|_| if uniform() < p { 0.0 } else { scale }).collect(),
-            x.shape(),
-        );
+        let mut mask = Tensor::from_vec(crate::mem::take_uninit(x.len()), x.shape());
+        for m in mask.make_mut() {
+            *m = if uniform() < p { 0.0 } else { scale };
+        }
         self.mul_const(&mask)
     }
 
@@ -1036,6 +1106,72 @@ mod tests {
         let loss2 = b.mul(&b).sum_all();
         let g2 = tape.backward(loss2);
         assert_eq!(g2.get(b).unwrap().as_slice(), &[6.0]);
+    }
+
+    /// A two-input, two-output step: a product, a nonlinearity and a
+    /// reduction, recorded on whichever tape `scoped` hands it.
+    fn step<'s>(t: &'s Tape, v: &[Var<'s>]) -> Vec<Var<'s>> {
+        let h = v[0].matmul(&v[1]).tanh();
+        let c = t.constant(Tensor::full(&[1, 2], 0.5));
+        vec![h.add(&c), h.sum_axes(&[1], true)]
+    }
+
+    fn inputs() -> (Tensor, Tensor) {
+        let a = Tensor::arange(12).reshape(&[4, 3]).mul_scalar(0.1);
+        let b = Tensor::arange(6).reshape(&[3, 2]).mul_scalar(-0.2).add_scalar(0.3);
+        (a, b)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn scoped_outside_inference_records_on_the_tape_itself() {
+        let (a, b) = inputs();
+        let run = |scoped: bool| {
+            let tape = Tape::new();
+            let (av, bv) = (tape.leaf(a.clone(), true), tape.leaf(b.clone(), true));
+            let outs = if scoped { tape.scoped(&[av, bv], step) } else { step(&tape, &[av, bv]) };
+            let loss = outs[0].sum_all().add(&outs[1].mul_scalar(3.0).sum_all());
+            let g = tape.backward(loss);
+            let ga = bits(g.get(av).unwrap());
+            let gb = bits(g.get(bv).unwrap());
+            (tape.len(), bits(&outs[0].value()), bits(&outs[1].value()), ga, gb)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn scoped_inside_inference_keeps_only_the_outputs() {
+        let (a, b) = inputs();
+        let plain = {
+            let tape = Tape::new();
+            let (av, bv) = (tape.constant(a.clone()), tape.constant(b.clone()));
+            let outs = step(&tape, &[av, bv]);
+            (bits(&outs[0].value()), bits(&outs[1].value()))
+        };
+        let _inf = inference::InferenceGuard::enter();
+        let tape = Tape::new();
+        let (av, bv) = (tape.constant(a), tape.constant(b));
+        let outs = tape.scoped(&[av, bv], step);
+        assert_eq!(tape.len(), 4, "two inputs plus the two output constants");
+        assert_eq!((bits(&outs[0].value()), bits(&outs[1].value())), plain);
+        // An input that needs a gradient keeps the whole step on the tape.
+        let w = tape.leaf(Tensor::ones(&[3, 2]), true);
+        let outs = tape.scoped(&[av, w], step);
+        assert!(outs[0].requires_grad());
+        assert!(tape.len() > 8);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "belongs to another tape")]
+    fn operands_from_two_tapes_are_caught() {
+        let (t1, t2) = (Tape::new(), Tape::new());
+        let a = t1.constant(Tensor::ones(&[2]));
+        let b = t2.constant(Tensor::ones(&[2]));
+        let _ = a.add(&b);
     }
 
     #[test]

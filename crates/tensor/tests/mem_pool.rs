@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use traffic_tensor::{mem, Tape, Tensor};
+use traffic_tensor::{inference, mem, Tape, Tensor};
 
 /// The pool and its cap are process-global; tests in this binary flip
 /// the cap, so they serialise on one lock.
@@ -175,4 +175,30 @@ proptest! {
         mem::trim();
         mem::set_mem_cap(usize::MAX);
     }
+}
+
+/// Inside an inference region a scoped step's intermediates are back in
+/// the pool when `scoped` returns; recorded on the tape itself they stay
+/// alive until the tape drops.
+#[test]
+fn scoped_step_returns_its_intermediates_to_the_pool() {
+    let _guard = pool_lock();
+    mem::set_mem_cap(usize::MAX);
+    let x = Tensor::full(&[4096], 0.25);
+    let step = |tape: &Tape| -> usize {
+        let xv = tape.constant(x.clone());
+        mem::trim();
+        // Two 4096-element intermediates (16 KiB each), a scalar output.
+        let out = tape.scoped(&[xv], |_, v| vec![v[0].mul_scalar(2.0).add_scalar(1.0).sum_all()]);
+        assert_eq!(out[0].value().item(), 4096.0 * 1.5);
+        mem::retained_bytes()
+    };
+    let recorded = step(&Tape::new());
+    let scoped = {
+        let _inf = inference::InferenceGuard::enter();
+        step(&Tape::new())
+    };
+    assert_eq!(recorded, 0, "outside inference the tape keeps every intermediate");
+    assert_eq!(scoped, 2 * 4096 * 4, "both intermediates recycled before scoped returns");
+    mem::trim();
 }

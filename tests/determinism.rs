@@ -22,7 +22,10 @@
 //!   bind as constant leaves, so the forward records no backward state;
 //!   every model's predictions must be bit-identical to the
 //!   gradient-recording binding (exercised via
-//!   [`inference::set_force_off`]);
+//!   [`inference::set_force_off`]), and with the buffer pool on and
+//!   off, since DCRNN, STGCN, ST-MetaNet and Graph-WaveNet run each
+//!   step or layer on a scoped child tape that recycles its buffers
+//!   mid-forward;
 //! - the experiment scheduler: `TRAFFIC_JOBS=4` runs sweep cells
 //!   concurrently on partitioned core groups, but every cell seeds its
 //!   own RNGs and results are collected in submission order, so the
@@ -139,11 +142,18 @@ fn predictions_identical_with_constant_and_grad_parameter_binding() {
         };
         let constant = bits();
         // The gradient-recording binding, as before inference regions
-        // bound constants.
+        // bound constants, with every scoped step on the one tape.
         inference::set_force_off(true);
         let recorded = bits();
         inference::set_force_off(false);
         assert_eq!(constant, recorded, "{name}: constant binding changed the predictions");
+        // Scoped steps hand their buffers back mid-forward; with the pool
+        // off every buffer is fresh.
+        mem::set_mem_cap(0);
+        mem::trim();
+        let unpooled = bits();
+        mem::set_mem_cap(usize::MAX);
+        assert_eq!(constant, unpooled, "{name}: the buffer pool changed the predictions");
     }
 }
 
